@@ -711,10 +711,23 @@ impl<F: Scalar> LocalCluster<F> {
     /// The broadcast shares one `Arc`-wrapped copy of `x` across the
     /// whole fan-out instead of deep-copying it per device.
     ///
+    /// The frames are on the wire before this returns. (The pipeline
+    /// engines go through [`PipelinedQuery::begin`](crate::PipelinedQuery::begin)
+    /// instead, which may leave them queued in the transport until the
+    /// pipeline next waits, so a window of queries shares one write.)
+    ///
     /// # Errors
     ///
     /// [`Error::ChannelClosed`] when a device thread died.
     pub fn begin_query(&self, x: &Vector<F>) -> Result<Ticket> {
+        let ticket = self.begin_query_queued(x)?;
+        self.transport.flush()?;
+        Ok(ticket)
+    }
+
+    /// [`begin_query`](Self::begin_query) minus the flush: the transport
+    /// may hold the frames until the next collect, abandon or shutdown.
+    pub(crate) fn begin_query_queued(&self, x: &Vector<F>) -> Result<Ticket> {
         self.core.begin_query(&*self.transport, x)
     }
 
@@ -748,6 +761,9 @@ impl<F: Scalar> LocalCluster<F> {
     /// arrive later stay parked until the cluster shuts down, so abandon
     /// is for error paths, not a completion strategy.
     pub fn abandon_query(&self, ticket: Ticket) {
+        // Nothing stays queued past an abandon: a request still sitting
+        // in the transport is sent all the same.
+        let _ = self.transport.flush();
         self.core.mailbox.clear(ticket.request());
     }
 
@@ -756,6 +772,7 @@ impl<F: Scalar> LocalCluster<F> {
         let collect_started = self.core.tel.now(&self.core.clock);
         let mut partials: HashMap<usize, Vector<F>> = HashMap::new();
         self.core.mailbox.collect(
+            &*self.transport,
             &*self.core.clock,
             request,
             self.core.timeout,
@@ -847,12 +864,20 @@ impl<F: Scalar> LocalCluster<F> {
     /// of [`begin_query`](Self::begin_query). One `Arc`-shared copy of
     /// the panel crosses the fan-out, so the broadcast cost is one
     /// message (plus the panel payload) per device per *window*, not per
-    /// query.
+    /// query. Like [`begin_query`](Self::begin_query), the frames are on
+    /// the wire before this returns.
     ///
     /// # Errors
     ///
     /// [`Error::ChannelClosed`] when a device thread died.
     pub fn begin_panel(&self, xs: &Matrix<F>) -> Result<PanelTicket> {
+        let ticket = self.begin_panel_queued(xs)?;
+        self.transport.flush()?;
+        Ok(ticket)
+    }
+
+    /// [`begin_panel`](Self::begin_panel) minus the flush.
+    pub(crate) fn begin_panel_queued(&self, xs: &Matrix<F>) -> Result<PanelTicket> {
         self.core.begin_panel(&*self.transport, xs)
     }
 
@@ -883,6 +908,7 @@ impl<F: Scalar> LocalCluster<F> {
     /// Drops an in-flight panel without waiting for its result,
     /// discarding any responses already parked for it.
     pub fn abandon_panel(&self, ticket: PanelTicket) {
+        let _ = self.transport.flush();
         self.core.mailbox.clear(ticket.request());
     }
 
@@ -891,6 +917,7 @@ impl<F: Scalar> LocalCluster<F> {
         let collect_started = self.core.tel.now(&self.core.clock);
         let mut partials: HashMap<usize, Matrix<F>> = HashMap::new();
         self.core.mailbox.collect(
+            &*self.transport,
             &*self.core.clock,
             request,
             self.core.timeout,

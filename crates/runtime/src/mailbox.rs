@@ -11,11 +11,13 @@ use std::collections::HashMap;
 use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
-use crossbeam::channel::{Receiver, RecvTimeoutError};
+use crossbeam::channel::{Receiver, RecvTimeoutError, TryRecvError};
+use scec_linalg::Scalar;
 
 use crate::clock::Clock;
 use crate::error::{Error, Result};
 use crate::message::FromDevice;
+use crate::transport::Transport;
 
 /// Bounded polling interval: how long a query thread blocks on the
 /// shared channel before re-checking the deadline and the parked stash.
@@ -41,7 +43,7 @@ pub(crate) struct Mailbox<F> {
     parked: Mutex<HashMap<u64, Vec<FromDevice<F>>>>,
 }
 
-impl<F> Mailbox<F> {
+impl<F: Scalar> Mailbox<F> {
     pub(crate) fn new(responses: Receiver<FromDevice<F>>) -> Self {
         Mailbox {
             responses,
@@ -58,6 +60,12 @@ impl<F> Mailbox<F> {
     /// protocols. Responses for other requests are parked for their
     /// owning threads; the stash is re-checked every polling round.
     ///
+    /// Responses that have already arrived are drained without
+    /// blocking; only when the channel is empty — the caller is about to
+    /// park — is `transport` flushed, so whatever a pipeline left queued
+    /// goes out as one write per device, and never later than the wait
+    /// that depends on it.
+    ///
     /// The deadline lives on `clock`'s timeline: real time for
     /// [`RealClock`](crate::RealClock), virtual time for
     /// [`SimClock`](crate::SimClock). The channel itself is still polled
@@ -68,10 +76,13 @@ impl<F> Mailbox<F> {
     /// # Errors
     ///
     /// * [`Error::Timeout`] when `needed` is not reached in `timeout`;
-    /// * [`Error::ChannelClosed`] when every device sender is gone;
+    /// * [`Error::ChannelClosed`] when every device sender is gone, or
+    ///   naming the device whose queued messages the flush could not
+    ///   deliver;
     /// * whatever `absorb` returns, verbatim.
     pub(crate) fn collect(
         &self,
+        transport: &dyn Transport<F>,
         clock: &dyn Clock,
         request: u64,
         timeout: Duration,
@@ -95,27 +106,38 @@ impl<F> Mailbox<F> {
                     needed,
                 });
             }
-            let slice = remaining.min(POLL);
-            match self.responses.recv_timeout(slice) {
-                Ok(resp) if resp.request() == request => {
-                    progress = absorb(resp)?;
-                }
-                Ok(other) => {
-                    lock(&self.parked)
-                        .entry(other.request())
-                        .or_default()
-                        .push(other);
-                }
-                Err(RecvTimeoutError::Timeout) => {
-                    // A real polling slice expired with no response; tell
-                    // the clock (advances virtual time under an
-                    // auto-advance SimClock), then loop to re-check the
-                    // deadline and the parked stash.
-                    clock.poll_expired(slice);
-                }
-                Err(RecvTimeoutError::Disconnected) => {
+            let resp = match self.responses.try_recv() {
+                Ok(resp) => resp,
+                Err(TryRecvError::Disconnected) => {
                     return Err(Error::ChannelClosed { device: None });
                 }
+                Err(TryRecvError::Empty) => {
+                    transport.flush()?;
+                    let slice = remaining.min(POLL);
+                    match self.responses.recv_timeout(slice) {
+                        Ok(resp) => resp,
+                        Err(RecvTimeoutError::Timeout) => {
+                            // A real polling slice expired with no
+                            // response; tell the clock (advances virtual
+                            // time under an auto-advance SimClock), then
+                            // loop to re-check the deadline and the
+                            // parked stash.
+                            clock.poll_expired(slice);
+                            continue;
+                        }
+                        Err(RecvTimeoutError::Disconnected) => {
+                            return Err(Error::ChannelClosed { device: None });
+                        }
+                    }
+                }
+            };
+            if resp.request() == request {
+                progress = absorb(resp)?;
+            } else {
+                lock(&self.parked)
+                    .entry(resp.request())
+                    .or_default()
+                    .push(resp);
             }
         }
         Ok(())

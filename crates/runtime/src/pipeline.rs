@@ -135,6 +135,11 @@ pub trait PipelinedQuery {
 
     /// Broadcasts `input` and returns without waiting for responses.
     ///
+    /// An implementation may leave the broadcast queued in its
+    /// transport, provided it goes out no later than the next `finish`
+    /// that has to wait, the next `abandon`, or shutdown — so a window
+    /// of `begin`s can share one write per device.
+    ///
     /// # Errors
     ///
     /// Transport failures surfaced at send time.
@@ -162,7 +167,7 @@ impl<F: Scalar> PipelinedQuery for LocalCluster<F> {
     type Ticket = Ticket;
 
     fn begin(&self, input: &Vector<F>) -> Result<Ticket> {
-        self.begin_query(input)
+        self.begin_query_queued(input)
     }
 
     fn finish(&self, ticket: Ticket) -> Result<Vector<F>> {
@@ -258,7 +263,8 @@ pub trait PanelQuery {
     type PanelTicket;
 
     /// Broadcasts the `l × k` panel `xs` and returns without waiting
-    /// for responses.
+    /// for responses; it may stay queued under the same rule as
+    /// [`PipelinedQuery::begin`].
     ///
     /// # Errors
     ///
@@ -285,7 +291,7 @@ impl<F: Scalar> PanelQuery for LocalCluster<F> {
     type PanelTicket = PanelTicket;
 
     fn begin_panel(&self, xs: &Matrix<F>) -> Result<PanelTicket> {
-        self.begin_panel(xs)
+        self.begin_panel_queued(xs)
     }
 
     fn finish_panel(&self, ticket: PanelTicket) -> Result<Matrix<F>> {

@@ -282,6 +282,7 @@ impl<F: Scalar> StragglerCluster<F> {
         let mut collected: Vec<TaggedResponse<F>> = Vec::new();
         let mut responders = Vec::new();
         let result = self.core.mailbox.collect(
+            &*self.transport,
             &*self.core.clock,
             request,
             self.core.timeout,
@@ -402,6 +403,7 @@ impl<F: Scalar> StragglerCluster<F> {
         let mut flat: Vec<F> = Vec::new();
         let mut responders = Vec::new();
         let result = self.core.mailbox.collect(
+            &*self.transport,
             &*self.core.clock,
             request,
             self.core.timeout,

@@ -1217,6 +1217,7 @@ impl<F: Scalar> SupervisedCluster<F> {
             rejected: Vec::new(),
         };
         let collect = self.mailbox.collect(
+            &*topo.transport,
             &*self.clock,
             request,
             self.config.deadline,
@@ -1229,6 +1230,7 @@ impl<F: Scalar> SupervisedCluster<F> {
             // so slow-but-honest devices are credited instead of
             // accruing misses. Extra verified rows also join the decode.
             let _ = self.mailbox.collect(
+                &*topo.transport,
                 &*self.clock,
                 request,
                 self.config.quorum_grace,

@@ -281,6 +281,7 @@ impl<F: Scalar> TPrivateCluster<F> {
         let collect_started = self.core.tel.now(&self.core.clock);
         let mut partials: HashMap<usize, Matrix<F>> = HashMap::new();
         self.core.mailbox.collect(
+            &*self.transport,
             &*self.core.clock,
             request,
             self.core.timeout,
@@ -354,6 +355,7 @@ impl<F: Scalar> TPrivateCluster<F> {
         let collect_started = self.core.tel.now(&self.core.clock);
         let mut partials: HashMap<usize, Vector<F>> = HashMap::new();
         self.core.mailbox.collect(
+            &*self.transport,
             &*self.core.clock,
             request,
             self.core.timeout,

@@ -58,6 +58,21 @@ pub trait Transport<F: Scalar>: Send + Sync {
     /// [`Error::ChannelClosed`] when the device is unreachable.
     fn send(&self, index: usize, msg: ToDevice<F>) -> Result<()>;
 
+    /// Puts every message accepted by [`send`](Self::send) on its way.
+    ///
+    /// A backend may leave query messages queued so that a window of
+    /// them shares one write; the cluster calls this before it blocks
+    /// on responses, so nothing queued outlives the next wait. Backends
+    /// that deliver inside `send` keep the default no-op.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::ChannelClosed`] naming the device whose queued messages
+    /// could not be delivered.
+    fn flush(&self) -> Result<()> {
+        Ok(())
+    }
+
     /// Whether this backend meters *actual* wire bytes. When true, the
     /// cluster core skips its analytic byte accounting so the cost
     /// ledger reports observed traffic instead of the model's estimate;
@@ -293,9 +308,11 @@ where
 /// shared by every byte-carrying backend ([`SimLinkTransport`] here, the
 /// TCP transport and device server in `scec-serve`).
 ///
-/// Encoders write into a caller-provided buffer (cleared, capacity
-/// kept), so a connection loop reusing one `Vec<u8>` amortizes
-/// allocation to zero per message once warm.
+/// The `encode_*` functions write into a caller-provided buffer
+/// (cleared, capacity kept); the `append_*` functions add the same
+/// frame after whatever the buffer already holds, which is how the
+/// socket backends queue several frames for one write. Either way a
+/// reused `Vec<u8>` amortizes allocation to zero per message once warm.
 pub mod frames {
     use std::sync::Arc;
 
@@ -306,8 +323,8 @@ pub mod frames {
     use scec_linalg::Scalar;
     use scec_telemetry::TraceContext;
     use scec_wire::{
-        decode_framed, decode_framed_ctx, encode_framed_into, parse_header, peek_tag, tag, Reader,
-        WireDecode, WireEncode,
+        decode_framed, decode_framed_ctx, parse_header, peek_tag, tag, Reader, WireDecode,
+        WireEncode,
     };
 
     use crate::message::{FromDevice, ToDevice};
@@ -325,12 +342,24 @@ pub mod frames {
     where
         F: Scalar + WireEncode,
     {
+        buf.clear();
+        append_to_device(msg, buf)
+    }
+
+    /// [`encode_to_device`] without the clear: the frame is appended to
+    /// `buf` (nothing is, for a control-plane message).
+    pub fn append_to_device<F>(msg: &ToDevice<F>, buf: &mut Vec<u8>) -> bool
+    where
+        F: Scalar + WireEncode,
+    {
         match msg {
             ToDevice::Install(share) => {
-                encode_framed_into(&**share, tag::DEVICE_SHARE, buf);
+                frame_prelude(tag::DEVICE_SHARE, buf);
+                share.encode(buf);
             }
             ToDevice::InstallTagged(share) => {
-                encode_framed_into(&**share, tag::STRAGGLER_SHARE, buf);
+                frame_prelude(tag::STRAGGLER_SHARE, buf);
+                share.encode(buf);
             }
             ToDevice::Query { request, x, ctx } => {
                 // Field-for-field the `QueryMsg` frame layout; a carried
@@ -414,6 +443,19 @@ pub mod frames {
     /// its response frame, so both directions of a traced window carry
     /// the 17-byte block and wire-byte accounting stays symmetric.
     pub fn encode_response_ctx<F>(
+        resp: &FromDevice<F>,
+        ctx: Option<&TraceContext>,
+        buf: &mut Vec<u8>,
+    ) where
+        F: Scalar + WireEncode,
+    {
+        buf.clear();
+        append_response_ctx(resp, ctx, buf);
+    }
+
+    /// [`encode_response_ctx`] without the clear: the frame is appended
+    /// to `buf`.
+    pub fn append_response_ctx<F>(
         resp: &FromDevice<F>,
         ctx: Option<&TraceContext>,
         buf: &mut Vec<u8>,
@@ -567,11 +609,9 @@ pub mod frames {
         }
     }
 
-    /// Clears `buf` and writes the `MAGIC | VERSION | tag` frame
-    /// prelude — identical to what [`encode_framed_into`] emits before
-    /// the payload.
+    /// Appends the `MAGIC | VERSION | tag` frame prelude — identical to
+    /// what [`scec_wire::encode_framed_into`] emits before the payload.
     fn frame_prelude(msg_tag: u16, buf: &mut Vec<u8>) {
-        buf.clear();
         buf.extend_from_slice(&scec_wire::MAGIC);
         buf.extend_from_slice(&scec_wire::VERSION.to_le_bytes());
         buf.extend_from_slice(&msg_tag.to_le_bytes());
@@ -583,7 +623,6 @@ pub mod frames {
     fn frame_prelude_ctx(msg_tag: u16, ctx: Option<&TraceContext>, buf: &mut Vec<u8>) {
         match ctx {
             Some(ctx) => {
-                buf.clear();
                 buf.extend_from_slice(&scec_wire::MAGIC);
                 buf.extend_from_slice(&scec_wire::TRACED_VERSION.to_le_bytes());
                 buf.extend_from_slice(&msg_tag.to_le_bytes());

@@ -21,12 +21,19 @@
 //!
 //! Frames are the `scec-wire` codecs shared with the runtime's
 //! simulated link ([`scec_runtime::transport::frames`]), length-prefixed
-//! per [`scec_wire::stream`]: one vectored write syscall per frame on
-//! the hot path, reused encode/decode buffers, max-frame-size guard on
-//! every read.
+//! per [`scec_wire::stream`]. Both ends coalesce socket I/O: a buffered
+//! [`FrameReader`](scec_wire::stream::FrameReader) takes everything the
+//! socket holds per `read`, query frames queue in a per-peer out-buffer
+//! until the sender is about to wait, and the server answers a window
+//! of requests with one `write` — with the max-frame-size guard on every
+//! read.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+/// Bytes either end lets pile up in an out-buffer before writing them
+/// regardless of what else is queued behind.
+const MAX_PENDING_BYTES: usize = 64 << 10;
 
 pub mod error;
 pub mod obs;

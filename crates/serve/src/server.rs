@@ -10,10 +10,13 @@
 //! stats counters.
 //!
 //! Threading is plain blocking I/O: one OS thread per connection, no
-//! async runtime. The hot loop reuses one read and one write buffer per
-//! connection and issues one vectored write syscall per response frame.
+//! async runtime. The hot loop coalesces both directions: one `read`
+//! pulls every request the socket holds, and the responses to them leave
+//! in one `write` once no further complete request is buffered — so a
+//! client that pipelines a window of queries pays two syscalls here per
+//! window, not three per query.
 
-use std::io::Write as _;
+use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -26,10 +29,13 @@ use scec_runtime::message::{FromDevice, ToDevice};
 use scec_runtime::transport::frames;
 use scec_runtime::{Clock, RealClock};
 use scec_telemetry::{context, SpanIds, Stage, Telemetry, TraceContext};
-use scec_wire::stream::{read_frame, write_frame, StreamError, DEFAULT_MAX_FRAME};
-use scec_wire::{decode_framed, encode_framed_into, peek_tag, tag, WireDecode, WireEncode};
+use scec_wire::stream::{
+    begin_frame, end_frame, read_frame, write_frame, FrameReader, DEFAULT_MAX_FRAME,
+};
+use scec_wire::{decode_framed, encode_framed, peek_tag, tag, WireDecode, WireEncode};
 
 use crate::error::{Error, Result};
+use crate::MAX_PENDING_BYTES;
 
 /// Knobs for a [`DeviceServer`].
 #[derive(Clone, Debug)]
@@ -66,7 +72,9 @@ pub struct ServerStats {
 }
 
 /// An open connection's watch stream plus its handler thread, held for
-/// forced shutdown.
+/// forced shutdown. The accept loop reaps the entries whose handler has
+/// finished, so the table (and the duplicated descriptors in it) tracks
+/// the open connections, not every connection ever accepted.
 type ConnSlots = Arc<Mutex<Vec<(TcpStream, JoinHandle<()>)>>>;
 
 /// A running device fleet server. Dropping it (or calling
@@ -105,7 +113,8 @@ impl DeviceServer {
     ///
     /// # Errors
     ///
-    /// Propagates the bind failure.
+    /// Propagates the bind failure, or the failure to spawn the accept
+    /// thread.
     pub fn bind_instrumented<F>(
         addr: &str,
         config: ServerConfig,
@@ -136,20 +145,30 @@ impl DeviceServer {
                         let Ok(watch) = stream.try_clone() else {
                             continue;
                         };
-                        let stats = Arc::clone(&stats);
                         let config = config.clone();
                         let tel = tel.clone();
                         let clock = Arc::clone(&clock);
-                        let handler = std::thread::Builder::new()
+                        let conn_stats = Arc::clone(&stats);
+                        let spawned = std::thread::Builder::new()
                             .name("scec-serve-conn".into())
                             .spawn(move || {
-                                handle_connection::<F>(stream, &config, &stats, &tel, &clock)
-                            })
-                            .expect("spawn connection handler");
-                        lock(&conns).push((watch, handler));
+                                handle_connection::<F>(stream, &config, &conn_stats, &tel, &clock)
+                            });
+                        let mut table = lock(&conns);
+                        for (_, done) in table.extract_if(.., |(_, h)| h.is_finished()) {
+                            let _ = done.join();
+                        }
+                        match spawned {
+                            Ok(handler) => table.push((watch, handler)),
+                            // Out of threads (EAGAIN): the failed spawn
+                            // dropped the stream, which refuses this
+                            // connection; later ones may still fit.
+                            Err(_) => {
+                                stats.rejected.fetch_add(1, Ordering::AcqRel);
+                            }
+                        }
                     }
-                })
-                .expect("spawn accept thread")
+                })?
         };
         Ok(DeviceServer {
             addr,
@@ -230,14 +249,12 @@ fn handle_connection<F>(
 ) where
     F: Scalar + WireEncode + WireDecode,
 {
-    let mut rbuf = Vec::new();
-    let mut wbuf = Vec::new();
-    let hello = match read_hello(&mut stream, &mut rbuf, config.max_frame) {
-        Ok(h) => h,
-        Err(_) => return,
+    let Ok(hello) = read_hello(&mut stream, config.max_frame) else {
+        return;
     };
     if hello.tenant >= config.max_tenants {
         stats.rejected.fetch_add(1, Ordering::AcqRel);
+        let mut refusal = Vec::new();
         frames::encode_response::<F>(
             &FromDevice::Failure {
                 request: 0,
@@ -247,58 +264,59 @@ fn handle_connection<F>(
                     hello.tenant, config.max_tenants
                 ),
             },
-            &mut wbuf,
+            &mut refusal,
         );
-        let _ = write_frame(&mut stream, &wbuf);
+        let _ = write_frame(&mut stream, &refusal);
         let _ = stream.flush();
         return;
     }
     // Admission ack: echo the hello.
-    encode_framed_into(&hello, tag::HELLO, &mut wbuf);
-    if write_frame(&mut stream, &wbuf).is_err() {
+    if write_frame(&mut stream, &encode_framed(&hello, tag::HELLO)).is_err() {
         return;
     }
     stats.accepted.fetch_add(1, Ordering::AcqRel);
     stats.active.fetch_add(1, Ordering::AcqRel);
-    serve_device::<F>(
-        &mut stream,
-        config,
-        stats,
-        hello.tenant,
-        hello.device,
-        tel,
-        clock,
-        &mut rbuf,
-        &mut wbuf,
-    );
+    serve_device::<F, _>(&mut stream, config, stats, &hello, tel, clock);
     stats.active.fetch_sub(1, Ordering::AcqRel);
 }
 
-fn read_hello(stream: &mut TcpStream, rbuf: &mut Vec<u8>, max_frame: usize) -> Result<HelloMsg> {
-    read_frame(stream, rbuf, max_frame)?;
-    if peek_tag(rbuf)? != tag::HELLO {
+/// Reads exactly the HELLO frame, leaving every later byte in the
+/// socket for the serve loop's buffered reader.
+fn read_hello(stream: &mut TcpStream, max_frame: usize) -> Result<HelloMsg> {
+    let mut frame = Vec::new();
+    read_frame(stream, &mut frame, max_frame)?;
+    if peek_tag(&frame)? != tag::HELLO {
         return Err(Error::Protocol("expected HELLO as the first frame".into()));
     }
-    Ok(decode_framed::<HelloMsg>(rbuf, tag::HELLO)?)
+    Ok(decode_framed::<HelloMsg>(&frame, tag::HELLO)?)
 }
 
 /// The post-handshake serve loop. The share installed on this
 /// connection lives here, on the handler's stack — the sharding unit is
 /// the connection itself.
-#[allow(clippy::too_many_arguments)]
-fn serve_device<F>(
-    stream: &mut TcpStream,
+///
+/// Responses accumulate in one out-buffer and leave in a single write
+/// when no further complete request is buffered, or once
+/// [`MAX_PENDING_BYTES`] are pending: a lone query is answered at once,
+/// a pipelined window in one piece.
+fn serve_device<F, S>(
+    stream: &mut S,
     config: &ServerConfig,
     stats: &ServerStats,
-    tenant: u64,
-    device: usize,
+    hello: &HelloMsg,
     tel: &Option<Arc<Telemetry>>,
     clock: &Arc<dyn Clock>,
-    rbuf: &mut Vec<u8>,
-    wbuf: &mut Vec<u8>,
 ) where
     F: Scalar + WireEncode + WireDecode,
+    S: Read + Write,
 {
+    let HelloMsg { tenant, device } = *hello;
+    let mut reader = FrameReader::new(config.max_frame);
+    let mut out = Vec::new();
+    // Cleared by a failed write: nobody reads the answers any more, so
+    // the requests still buffered are skipped — all but a BYE, which
+    // still makes the close a clean one.
+    let mut peer_reads = true;
     let mut share: Option<DeviceShare<F>> = None;
     let mut tagged: Option<StragglerShare<F>> = None;
     // Per-tenant served-query counter, resolved once per connection so
@@ -309,20 +327,27 @@ fn serve_device<F>(
             .counter("scec_server_queries_total", &[("tenant", &tenant_label)])
     });
     loop {
-        match read_frame(stream, rbuf, config.max_frame) {
-            Ok(()) => {}
-            // Clean EOF without BYE: the peer vanished; nothing to do.
-            Err(StreamError::Closed) => return,
-            Err(_) => return,
+        if !out.is_empty() && (out.len() >= MAX_PENDING_BYTES || !reader.has_frame()) {
+            peer_reads &= stream.write_all(&out).is_ok();
+            out.clear();
         }
-        if peek_tag(rbuf).map(|t| t == tag::BYE).unwrap_or(false) {
-            stats.clean_closes.fetch_add(1, Ordering::AcqRel);
+        // EOF without BYE (the peer vanished) or a broken stream: either
+        // way nothing is pending, `out` was written when the buffer ran dry.
+        let Ok(frame) = reader.next_frame(stream) else {
             return;
+        };
+        if peek_tag(frame).map(|t| t == tag::BYE).unwrap_or(false) {
+            stats.clean_closes.fetch_add(1, Ordering::AcqRel);
+            let _ = stream.write_all(&out);
+            return;
+        }
+        if !peer_reads {
+            continue;
         }
         // The query's wire-propagated trace context, echoed back on the
         // response frame so both directions price identically.
         let mut qctx: Option<TraceContext> = None;
-        let response = match frames::decode_to_device::<F>(rbuf) {
+        let response = match frames::decode_to_device::<F>(frame) {
             Ok(ToDevice::Install(s)) => {
                 share = Some(*s);
                 continue;
@@ -408,8 +433,9 @@ fn serve_device<F>(
                 }
             }
         };
-        frames::encode_response_ctx(&response, qctx.as_ref(), wbuf);
-        if write_frame(stream, wbuf).is_err() {
+        let start = begin_frame(&mut out);
+        frames::append_response_ctx(&response, qctx.as_ref(), &mut out);
+        if end_frame(&mut out, start).is_err() {
             return;
         }
     }
@@ -474,5 +500,199 @@ fn no_share<F: Scalar>(request: u64, device: usize) -> FromDevice<F> {
         request,
         device,
         reason: "no share installed".into(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::io;
+
+    use rand::{rngs::StdRng, SeedableRng};
+
+    use scec_allocation::EdgeFleet;
+    use scec_core::{AllocationStrategy, ScecSystem};
+    use scec_linalg::{Fp61, Matrix, Vector};
+
+    use super::*;
+    use crate::TcpTransport;
+
+    /// An in-memory socket: each `read` hands over the next scripted
+    /// chunk (everything "the socket holds"), then EOF; every call is
+    /// counted, and each write remembers how many reads preceded it.
+    struct Scripted {
+        chunks: std::collections::VecDeque<Vec<u8>>,
+        reads: usize,
+        writes: Vec<(usize, Vec<u8>)>,
+    }
+
+    impl Scripted {
+        fn new(chunks: Vec<Vec<u8>>) -> Self {
+            Scripted {
+                chunks: chunks.into(),
+                reads: 0,
+                writes: Vec::new(),
+            }
+        }
+    }
+
+    impl Read for Scripted {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.reads += 1;
+            let Some(chunk) = self.chunks.front_mut() else {
+                return Ok(0);
+            };
+            let n = chunk.len().min(buf.len());
+            buf[..n].copy_from_slice(&chunk[..n]);
+            chunk.drain(..n);
+            if chunk.is_empty() {
+                self.chunks.pop_front();
+            }
+            Ok(n)
+        }
+    }
+
+    impl Write for Scripted {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes.push((self.reads, buf.to_vec()));
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Device 1's share of a small system, and the stream bytes of its
+    /// install frame followed by `queries` query frames.
+    fn install_then_queries(queries: usize) -> (DeviceShare<Fp61>, Vec<Vector<Fp61>>, Vec<u8>) {
+        let mut rng = StdRng::seed_from_u64(3);
+        let a = Matrix::<Fp61>::random(6, 5, &mut rng);
+        let fleet = EdgeFleet::from_unit_costs(vec![1.0, 1.5, 2.0]).expect("fleet");
+        let system =
+            ScecSystem::build(a, fleet, AllocationStrategy::Mcscec, &mut rng).expect("system");
+        let share = system.distribute(&mut rng).expect("shares").devices()[0]
+            .share()
+            .clone();
+        let xs: Vec<Vector<Fp61>> = (0..queries).map(|_| Vector::random(5, &mut rng)).collect();
+        let mut wire = Vec::new();
+        let mut frame = Vec::new();
+        frames::encode_to_device(&ToDevice::Install(Box::new(share.clone())), &mut frame);
+        write_frame(&mut wire, &frame).expect("vec write");
+        for (i, x) in xs.iter().enumerate() {
+            let query = ToDevice::Query {
+                request: i as u64 + 1,
+                x: Arc::new(x.clone()),
+                ctx: None,
+            };
+            frames::encode_to_device(&query, &mut frame);
+            write_frame(&mut wire, &frame).expect("vec write");
+        }
+        (share, xs, wire)
+    }
+
+    fn serve_scripted(stream: &mut Scripted) -> ServerStats {
+        let stats = ServerStats::default();
+        let clock: Arc<dyn Clock> = Arc::new(RealClock::default());
+        let hello = HelloMsg {
+            tenant: 0,
+            device: 1,
+        };
+        serve_device::<Fp61, _>(
+            stream,
+            &ServerConfig::default(),
+            &stats,
+            &hello,
+            &None,
+            &clock,
+        );
+        stats
+    }
+
+    /// Splits one written buffer back into the responses it carries.
+    fn responses(written: &[u8]) -> Vec<FromDevice<Fp61>> {
+        let mut reader = FrameReader::new(DEFAULT_MAX_FRAME);
+        let mut src = written;
+        let mut out = Vec::new();
+        while let Ok(frame) = reader.next_frame(&mut src) {
+            out.push(frames::decode_response::<Fp61>(frame).expect("response frame"));
+        }
+        out
+    }
+
+    #[test]
+    fn a_window_of_queued_queries_is_answered_with_one_write() {
+        let (share, xs, wire) = install_then_queries(16);
+        let mut stream = Scripted::new(vec![wire]);
+        let stats = serve_scripted(&mut stream);
+        assert_eq!(stats.queries_served.load(Ordering::Acquire), 16);
+        // One read took the install and all 16 queries; the second saw EOF.
+        assert!(stream.reads <= 2, "{} reads", stream.reads);
+        assert_eq!(stream.writes.len(), 1, "one write for the whole window");
+        let answers = responses(&stream.writes[0].1);
+        assert_eq!(answers.len(), 16);
+        for (i, (x, answer)) in xs.iter().zip(&answers).enumerate() {
+            match answer {
+                FromDevice::Partial {
+                    request,
+                    device: 1,
+                    values,
+                } => {
+                    assert_eq!(*request, i as u64 + 1);
+                    assert_eq!(*values, share.compute(x).expect("compute"));
+                }
+                other => panic!("query {i}: unexpected response {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn a_lone_query_is_answered_at_once() {
+        let (_, _, wire) = install_then_queries(1);
+        let mut stream = Scripted::new(vec![wire]);
+        serve_scripted(&mut stream);
+        assert_eq!(stream.writes.len(), 1);
+        // Written after the one read that carried the query, before the
+        // server went back to the socket.
+        assert_eq!(stream.writes[0].0, 1);
+        assert_eq!(responses(&stream.writes[0].1).len(), 1);
+    }
+
+    #[test]
+    fn queries_arriving_apart_are_answered_apart() {
+        let (_, _, wire) = install_then_queries(2);
+        // The second query's frame arrives in a later read, split mid-frame.
+        let cut = wire.len() - 40;
+        let mut stream = Scripted::new(vec![
+            wire[..cut].to_vec(),
+            wire[cut..cut + 7].to_vec(),
+            wire[cut + 7..].to_vec(),
+        ]);
+        serve_scripted(&mut stream);
+        let per_write: Vec<usize> = stream
+            .writes
+            .iter()
+            .map(|(_, bytes)| responses(bytes).len())
+            .collect();
+        assert_eq!(per_write, [1, 1]);
+    }
+
+    #[test]
+    fn finished_connections_are_reaped_from_the_table() {
+        let server =
+            DeviceServer::bind::<Fp61>("127.0.0.1:0", ServerConfig::default()).expect("bind");
+        let cycles = 300;
+        for _ in 0..cycles {
+            let (mut transport, _rx, _meter) =
+                TcpTransport::<Fp61>::connect(server.local_addr(), 0, &[1]).expect("connect");
+            scec_runtime::Transport::shutdown(&mut transport);
+        }
+        // Each accept reaped the handlers that had finished by then, so
+        // what is left are the last few still on their way out.
+        let open = lock(&server.conns).len();
+        assert!(
+            open < 32,
+            "{open} table entries after {cycles} closed connections"
+        );
+        server.shutdown();
     }
 }

@@ -2,11 +2,16 @@
 //! real sockets.
 //!
 //! One connection per enrolled device, blocking I/O throughout. Sends
-//! encode into a per-device reused buffer and go out as **one vectored
-//! write syscall** per frame (length prefix + payload); a reader thread
-//! per device decodes response frames into the cluster's crossbeam
-//! mailbox channel — the same channel the in-memory backend feeds, so
-//! the cluster core cannot tell the difference.
+//! encode straight into a per-device out-buffer (length prefix patched
+//! in place). Query frames stay there until [`Transport::flush`] — which
+//! the cluster calls before it waits for responses — or until
+//! `MAX_PENDING_BYTES` are queued, so a pipelined window leaves in one
+//! `write` per device; share installs and the closing BYE are written at
+//! once, behind whatever was queued. A reader thread per device pulls
+//! response frames through a buffered [`FrameReader`] and decodes them
+//! into the cluster's crossbeam mailbox channel — the same channel the
+//! in-memory backend feeds, so the cluster core cannot tell the
+//! difference.
 //!
 //! Every frame is metered by a [`WireMeter`] shared with the caller:
 //! the transport reports `counts_wire_bytes() == true`, which switches
@@ -29,11 +34,13 @@ use scec_runtime::message::{FromDevice, ToDevice};
 use scec_runtime::transport::frames;
 use scec_runtime::Transport;
 use scec_wire::stream::{
-    read_frame, write_frame, StreamError, DEFAULT_MAX_FRAME, LEN_PREFIX_BYTES,
+    begin_frame, end_frame, read_frame, write_frame, FrameReader, DEFAULT_MAX_FRAME,
+    LEN_PREFIX_BYTES,
 };
 use scec_wire::{encode_framed_into, peek_tag, tag, WireDecode, WireEncode};
 
 use crate::error::{Error, Result};
+use crate::MAX_PENDING_BYTES;
 
 /// Shared per-device wire-byte counters, one pair per enrolled device.
 /// Clone it out of [`TcpTransport::connect`] before handing the
@@ -91,11 +98,39 @@ impl WireMeter {
     }
 }
 
-/// One device's send side: the socket plus its reused encode buffer,
+/// One device's send side: the socket plus the frames queued for it,
 /// under one lock so concurrent broadcasts interleave whole frames.
 struct Peer {
     device: usize,
     send: Mutex<(TcpStream, Vec<u8>)>,
+}
+
+impl Peer {
+    fn closed(&self) -> scec_runtime::Error {
+        scec_runtime::Error::ChannelClosed {
+            device: Some(self.device),
+        }
+    }
+}
+
+/// Writes everything queued in `out` with one `write_all` and meters it
+/// as sent. Frames that could not be written are dropped: the
+/// connection is dead, and the caller reports it.
+fn write_queued(
+    stream: &mut TcpStream,
+    out: &mut Vec<u8>,
+    meter: &WireMeter,
+    index: usize,
+) -> std::io::Result<()> {
+    if out.is_empty() {
+        return Ok(());
+    }
+    let written = stream.write_all(out);
+    if written.is_ok() {
+        meter.add_sent(index, out.len() as u64);
+    }
+    out.clear();
+    written
 }
 
 /// A [`Transport`] whose devices live across TCP connections.
@@ -200,15 +235,11 @@ where
     Ok(std::thread::Builder::new()
         .name(format!("scec-tcp-reader-{device}"))
         .spawn(move || {
-            let mut buf = Vec::new();
-            loop {
-                match read_frame(&mut stream, &mut buf, DEFAULT_MAX_FRAME) {
-                    Ok(()) => {}
-                    Err(StreamError::Closed) => return,
-                    Err(_) => return,
-                }
-                meter.add_received(index, (LEN_PREFIX_BYTES + buf.len()) as u64);
-                let resp = match frames::decode_response::<F>(&buf) {
+            let mut reader = FrameReader::new(DEFAULT_MAX_FRAME);
+            // Ends on EOF (the server closed) or a broken stream alike.
+            while let Ok(frame) = reader.next_frame(&mut stream) {
+                meter.add_received(index, (LEN_PREFIX_BYTES + frame.len()) as u64);
+                let resp = match frames::decode_response::<F>(frame) {
                     Ok(resp) => resp,
                     // Corrupt response frame: surface as a device
                     // failure so the cluster's quorum logic sees it.
@@ -239,19 +270,31 @@ where
 
     fn send(&self, index: usize, msg: ToDevice<F>) -> scec_runtime::Result<()> {
         let peer = &self.peers[index];
-        let closed = || scec_runtime::Error::ChannelClosed {
-            device: Some(peer.device),
-        };
         let mut guard = peer.send.lock().unwrap_or_else(|p| p.into_inner());
-        let (stream, buf) = &mut *guard;
-        if !frames::encode_to_device(&msg, buf) {
+        let (stream, out) = &mut *guard;
+        let start = begin_frame(out);
+        if !frames::append_to_device(&msg, out) {
             // Control plane (Instrument): telemetry handles are
             // process-local; the server side has nothing to attach.
+            out.truncate(start);
             return Ok(());
         }
-        write_frame(stream, buf).map_err(|_| closed())?;
-        self.meter
-            .add_sent(index, (LEN_PREFIX_BYTES + buf.len()) as u64);
+        end_frame(out, start).map_err(|_| peer.closed())?;
+        // Queries wait for `flush` so a window of them shares one write;
+        // an install is written now, behind whatever was queued.
+        let queued = matches!(msg, ToDevice::Query { .. } | ToDevice::QueryBatch { .. });
+        if !queued || out.len() >= MAX_PENDING_BYTES {
+            write_queued(stream, out, &self.meter, index).map_err(|_| peer.closed())?;
+        }
+        Ok(())
+    }
+
+    fn flush(&self) -> scec_runtime::Result<()> {
+        for (index, peer) in self.peers.iter().enumerate() {
+            let mut guard = peer.send.lock().unwrap_or_else(|p| p.into_inner());
+            let (stream, out) = &mut *guard;
+            write_queued(stream, out, &self.meter, index).map_err(|_| peer.closed())?;
+        }
         Ok(())
     }
 
@@ -264,13 +307,19 @@ where
     }
 
     fn shutdown(&mut self) {
-        for peer in &self.peers {
+        for (index, peer) in self.peers.iter().enumerate() {
             let mut guard = peer.send.lock().unwrap_or_else(|p| p.into_inner());
-            let (stream, buf) = &mut *guard;
-            bye_frame(buf);
-            if write_frame(stream, buf).is_ok() {
-                let _ = stream.flush();
+            let (stream, out) = &mut *guard;
+            // Queued queries first, the BYE behind them, in one write.
+            // The BYE is not metered (it never was): the ledger prices
+            // protocol messages, not connection teardown.
+            let queued = out.len() as u64;
+            let start = begin_frame(out);
+            bye_frame(out);
+            if end_frame(out, start).is_ok() && stream.write_all(out).is_ok() {
+                self.meter.add_sent(index, queued);
             }
+            out.clear();
             let _ = stream.shutdown(Shutdown::Both);
         }
         for join in self.readers.drain(..) {
@@ -279,9 +328,9 @@ where
     }
 }
 
-/// A BYE is header-only: magic, version, tag — no payload.
+/// Appends a BYE, which is header-only: magic, version, tag — no
+/// payload.
 fn bye_frame(buf: &mut Vec<u8>) {
-    buf.clear();
     buf.extend_from_slice(&scec_wire::MAGIC);
     buf.extend_from_slice(&scec_wire::VERSION.to_le_bytes());
     buf.extend_from_slice(&tag::BYE.to_le_bytes());

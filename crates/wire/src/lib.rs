@@ -643,11 +643,17 @@ pub mod stream {
     //! Length-prefixed framing over blocking byte streams.
     //!
     //! A stream frame is a little-endian `u32` byte count followed by a
-    //! [`encode_framed`](crate::encode_framed)-style message. The writer
-    //! issues **one** vectored write syscall for header + payload in the
-    //! common case; the reader enforces a maximum frame size before
-    //! allocating, so a hostile or corrupt peer cannot force an
-    //! over-allocation or an over-read.
+    //! [`encode_framed`](crate::encode_framed)-style message.
+    //!
+    //! The hot loops coalesce: [`FrameReader`] pulls whatever the socket
+    //! holds with one `read` and hands complete frames out of its buffer,
+    //! and [`begin_frame`]/[`end_frame`] append frames to one out-buffer
+    //! that the owner writes with a single `write_all`.
+    //! [`write_frame`]/[`read_frame`] move exactly one frame and never
+    //! read past it — the handshake uses them, so no byte of the stream
+    //! that follows is consumed early. Every reader enforces a maximum
+    //! frame size before allocating, so a hostile or corrupt peer cannot
+    //! force an over-allocation.
 
     use std::fmt;
     use std::io::{self, IoSlice, Read, Write};
@@ -786,6 +792,159 @@ pub mod stream {
                 }))
             }
             Err(e) => Err(StreamError::Io(e)),
+        }
+    }
+
+    /// Starts a length-prefixed frame at the end of `out`: reserves the
+    /// prefix and returns the frame's offset for [`end_frame`]. The
+    /// caller appends the frame bytes in between — one buffer, encoded
+    /// in place, no copy.
+    pub fn begin_frame(out: &mut Vec<u8>) -> usize {
+        let start = out.len();
+        out.extend_from_slice(&[0; LEN_PREFIX_BYTES]);
+        start
+    }
+
+    /// Patches the length prefix of the frame begun at `start`.
+    ///
+    /// # Errors
+    ///
+    /// [`io::ErrorKind::InvalidInput`] for a frame over `u32::MAX`
+    /// bytes; the frame is removed from `out`.
+    pub fn end_frame(out: &mut Vec<u8>, start: usize) -> io::Result<()> {
+        let body = start + LEN_PREFIX_BYTES;
+        let Ok(len) = u32::try_from(out.len() - body) else {
+            out.truncate(start);
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "frame exceeds u32::MAX",
+            ));
+        };
+        out[start..body].copy_from_slice(&len.to_le_bytes());
+        Ok(())
+    }
+
+    /// Bytes a [`FrameReader`] asks the stream for before it has seen a
+    /// frame that needs more.
+    const INITIAL_READ_BUFFER: usize = 8 << 10;
+
+    /// A buffered frame reader: one `read` pulls whatever the stream
+    /// holds, and complete frames are handed out of the buffer without
+    /// touching the stream again.
+    ///
+    /// The buffer grows only as bytes actually arrive — it doubles when
+    /// it is full of one incomplete frame, never past that frame's end —
+    /// so a peer that claims a huge frame and sends nothing costs
+    /// nothing, and a claimed length above `max_frame` is rejected
+    /// before any growth.
+    #[derive(Debug)]
+    pub struct FrameReader {
+        buf: Vec<u8>,
+        /// Unconsumed bytes are `buf[pos..filled]`.
+        pos: usize,
+        filled: usize,
+        max_frame: usize,
+    }
+
+    impl FrameReader {
+        /// A reader that rejects frames longer than `max_frame`.
+        pub fn new(max_frame: usize) -> Self {
+            FrameReader {
+                buf: vec![0; INITIAL_READ_BUFFER],
+                pos: 0,
+                filled: 0,
+                max_frame,
+            }
+        }
+
+        /// Whether the next [`next_frame`](Self::next_frame) returns a
+        /// frame without reading from the stream.
+        pub fn has_frame(&self) -> bool {
+            matches!(self.frame_bytes(), Ok(Some(total)) if self.filled - self.pos >= total)
+        }
+
+        /// Bytes currently allocated for buffering.
+        pub fn capacity(&self) -> usize {
+            self.buf.capacity()
+        }
+
+        /// The next frame's payload: out of the buffer when it is
+        /// already complete there, else after as many reads as it takes
+        /// (each pulls everything the stream offers, up to the buffer).
+        /// The slice is valid until the next call.
+        ///
+        /// # Errors
+        ///
+        /// As [`read_frame`]: [`StreamError::Closed`] on EOF at a frame
+        /// boundary, [`Error::UnexpectedEof`] on EOF mid-frame,
+        /// [`Error::FrameTooLarge`] for a prefix above `max_frame`,
+        /// [`StreamError::Io`] otherwise.
+        pub fn next_frame<R: Read>(&mut self, r: &mut R) -> Result<&[u8], StreamError> {
+            let total = loop {
+                let needed = match self.frame_bytes()? {
+                    Some(total) if self.filled - self.pos >= total => break total,
+                    Some(total) => total,
+                    None => LEN_PREFIX_BYTES,
+                };
+                self.fill(r, needed)?;
+            };
+            let frame = self.pos + LEN_PREFIX_BYTES..self.pos + total;
+            self.pos = frame.end;
+            Ok(&self.buf[frame])
+        }
+
+        /// Bytes on the wire (prefix included) of the frame at `pos`,
+        /// once its prefix is buffered; the claimed length is checked
+        /// against `max_frame` here, before anything is sized by it.
+        fn frame_bytes(&self) -> Result<Option<usize>, Error> {
+            let Some(prefix) = self.buf[self.pos..self.filled].first_chunk() else {
+                return Ok(None);
+            };
+            let len = u32::from_le_bytes(*prefix) as usize;
+            if len > self.max_frame {
+                return Err(Error::FrameTooLarge {
+                    size: len as u64,
+                    max: self.max_frame as u64,
+                });
+            }
+            Ok(Some(LEN_PREFIX_BYTES + len))
+        }
+
+        /// One `read` toward a frame of `needed` total bytes at `pos`.
+        fn fill<R: Read>(&mut self, r: &mut R, needed: usize) -> Result<(), StreamError> {
+            if self.pos == self.filled {
+                self.pos = 0;
+                self.filled = 0;
+            } else if self.pos + needed > self.buf.len() {
+                // The frame cannot complete where it sits: move it down.
+                self.buf.copy_within(self.pos..self.filled, 0);
+                self.filled -= self.pos;
+                self.pos = 0;
+            }
+            if self.filled == self.buf.len() {
+                // Full of one incomplete frame, so `needed` exceeds the
+                // buffer: everything claimed so far has really arrived.
+                let grown = needed.min(self.buf.len() * 2);
+                self.buf.reserve_exact(grown - self.buf.len());
+                self.buf.resize(grown, 0);
+            }
+            loop {
+                match r.read(&mut self.buf[self.filled..]) {
+                    Ok(0) if self.pos == self.filled => return Err(StreamError::Closed),
+                    Ok(0) => {
+                        return Err(StreamError::Wire(Error::UnexpectedEof {
+                            needed,
+                            remaining: self.filled - self.pos,
+                        }))
+                    }
+                    Ok(n) => {
+                        self.filled += n;
+                        return Ok(());
+                    }
+                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                    Err(e) => return Err(StreamError::Io(e)),
+                }
+            }
         }
     }
 }

@@ -2,12 +2,15 @@
 //! values and — the important one — *no panic and no huge allocation on
 //! arbitrary hostile bytes*.
 
-use std::io::Cursor;
+use std::io::{Cursor, Read};
 
 use proptest::prelude::*;
 use scec_linalg::{Fp61, FpGeneric, Matrix, Vector};
 use scec_telemetry::context::{TraceContext, TRACE_CONTEXT_WIRE_BYTES};
-use scec_wire::stream::{read_frame, write_frame, StreamError, DEFAULT_MAX_FRAME};
+use scec_wire::stream::{
+    begin_frame, end_frame, read_frame, write_frame, FrameReader, StreamError, DEFAULT_MAX_FRAME,
+    LEN_PREFIX_BYTES,
+};
 use scec_wire::{
     decode_framed, decode_framed_ctx, encode_framed, encode_framed_ctx_into, encode_framed_into,
     parse_header, peek_tag, tag, WireDecode, WireEncode, TRACED_VERSION, VERSION,
@@ -238,5 +241,205 @@ proptest! {
         }
         // Small messages never outgrow the pooled buffer: no reallocation.
         prop_assert_eq!(pooled.capacity(), cap);
+    }
+}
+
+/// A byte stream that hands over at most `sizes[i]` bytes on its `i`-th
+/// read (cycling), the way a socket delivers arbitrary segments.
+struct Chunked<'a> {
+    data: &'a [u8],
+    sizes: &'a [usize],
+    reads: usize,
+}
+
+impl Read for Chunked<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let size = self.sizes[self.reads % self.sizes.len()];
+        self.reads += 1;
+        let n = size.min(buf.len()).min(self.data.len());
+        buf[..n].copy_from_slice(&self.data[..n]);
+        self.data = &self.data[n..];
+        Ok(n)
+    }
+}
+
+/// Frames of random lengths (some empty, some past the reader's first
+/// buffer) and the stream `write_frame` makes of them.
+fn random_stream(seed: u64, frames: usize) -> (Vec<Vec<u8>>, Vec<u8>) {
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+    let mut rng = StdRng::seed_from_u64(seed);
+    let payloads: Vec<Vec<u8>> = (0..frames)
+        .map(|_| {
+            let len = match rng.gen_range(0u32..8) {
+                0 => 0,
+                1 => rng.gen_range(8_000usize..40_000),
+                _ => rng.gen_range(1usize..300),
+            };
+            (0..len).map(|_| rng.gen_range(0u32..256) as u8).collect()
+        })
+        .collect();
+    let mut wire = Vec::new();
+    for p in &payloads {
+        write_frame(&mut wire, p).unwrap();
+    }
+    (payloads, wire)
+}
+
+/// How a frame source ended, with the fields that may differ between
+/// the two readers left out.
+#[derive(Debug, PartialEq)]
+enum End {
+    Closed,
+    Truncated,
+    TooLarge,
+    Other,
+}
+
+fn ending(e: &StreamError) -> End {
+    match e {
+        StreamError::Closed => End::Closed,
+        StreamError::Wire(scec_wire::Error::UnexpectedEof { .. }) => End::Truncated,
+        StreamError::Wire(scec_wire::Error::FrameTooLarge { .. }) => End::TooLarge,
+        _ => End::Other,
+    }
+}
+
+/// Every frame `read_frame` gets out of `wire`, and how it ended.
+fn reference_frames(wire: &[u8], max_frame: usize) -> (Vec<Vec<u8>>, End) {
+    let mut cursor = Cursor::new(wire);
+    let mut buf = Vec::new();
+    let mut frames = Vec::new();
+    loop {
+        match read_frame(&mut cursor, &mut buf, max_frame) {
+            Ok(()) => frames.push(buf.clone()),
+            Err(e) => return (frames, ending(&e)),
+        }
+    }
+}
+
+/// The same through a `FrameReader` fed `sizes`-byte segments; also
+/// checks the buffer bound after every frame.
+fn buffered_frames(wire: &[u8], sizes: &[usize], max_frame: usize) -> (Vec<Vec<u8>>, End) {
+    let mut reader = FrameReader::new(max_frame);
+    let initial = reader.capacity();
+    let mut src = Chunked {
+        data: wire,
+        sizes,
+        reads: 0,
+    };
+    let mut frames: Vec<Vec<u8>> = Vec::new();
+    let mut largest = 0;
+    loop {
+        match reader.next_frame(&mut src) {
+            Ok(frame) => {
+                largest = largest.max(LEN_PREFIX_BYTES + frame.len());
+                frames.push(frame.to_vec());
+            }
+            Err(e) => return (frames, ending(&e)),
+        }
+        assert!(
+            reader.capacity() <= initial.max(largest),
+            "buffer of {} bytes for frames up to {largest}",
+            reader.capacity()
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn frame_reader_yields_read_frames_frames_for_any_segmentation(
+        seed in any::<u64>(),
+        frames in 0usize..12,
+        sizes in proptest::collection::vec(1usize..20_000, 1..6),
+    ) {
+        let (payloads, wire) = random_stream(seed, frames);
+        let (expected, end) = reference_frames(&wire, DEFAULT_MAX_FRAME);
+        prop_assert_eq!(&expected, &payloads);
+        prop_assert_eq!(end, End::Closed);
+        // Arbitrary segments, one byte at a time, and everything at once.
+        for sizes in [&sizes[..], &[1], &[usize::MAX]] {
+            let (got, end) = buffered_frames(&wire, sizes, DEFAULT_MAX_FRAME);
+            prop_assert_eq!(&got, &payloads);
+            prop_assert_eq!(end, End::Closed);
+        }
+    }
+
+    #[test]
+    fn frame_reader_reports_truncation_like_read_frame_at_every_offset(
+        seed in any::<u64>(),
+        sizes in proptest::collection::vec(1usize..200, 1..4),
+    ) {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut wire = Vec::new();
+        for _ in 0..4 {
+            let len = rng.gen_range(0usize..60);
+            write_frame(&mut wire, &vec![0x5A; len]).unwrap();
+        }
+        for cut in 0..=wire.len() {
+            // `Closed` exactly at a frame boundary, `UnexpectedEof`
+            // mid-prefix and mid-payload, the same frames before either.
+            let expected = reference_frames(&wire[..cut], DEFAULT_MAX_FRAME);
+            prop_assert_eq!(buffered_frames(&wire[..cut], &sizes, DEFAULT_MAX_FRAME), expected);
+        }
+    }
+
+    #[test]
+    fn frame_reader_rejects_an_oversized_prefix_without_growing(
+        max_frame in 16usize..100_000,
+        excess in 1u32..1_000_000,
+        lead in 0usize..3,
+    ) {
+        // A few honest frames, then a prefix past the cap.
+        let mut wire = Vec::new();
+        for _ in 0..lead {
+            write_frame(&mut wire, &[7; 16]).unwrap();
+        }
+        wire.extend_from_slice(&(max_frame as u32 + excess).to_le_bytes());
+        wire.extend_from_slice(&[0xAB; 64]);
+        let mut reader = FrameReader::new(max_frame);
+        let initial = reader.capacity();
+        let mut src = &wire[..];
+        for _ in 0..lead {
+            prop_assert_eq!(reader.next_frame(&mut src).unwrap(), &[7; 16][..]);
+        }
+        prop_assert!(!reader.has_frame());
+        prop_assert_eq!(ending(&reader.next_frame(&mut src).unwrap_err()), End::TooLarge);
+        prop_assert_eq!(reader.capacity(), initial);
+    }
+
+    #[test]
+    fn a_claimed_length_costs_nothing_until_the_bytes_arrive(
+        claimed in 1_000_000u32..(DEFAULT_MAX_FRAME as u32),
+        sent in 0usize..50_000,
+    ) {
+        // Within the cap, so not rejected — but only `sent` bytes of the
+        // payload ever come. `read_frame` would have sized its buffer by
+        // the claim; the buffered reader sizes it by what arrived.
+        let mut wire = claimed.to_le_bytes().to_vec();
+        wire.resize(LEN_PREFIX_BYTES + sent, 0xCD);
+        let mut reader = FrameReader::new(DEFAULT_MAX_FRAME);
+        let initial = reader.capacity();
+        let mut src = Chunked { data: &wire, sizes: &[4096], reads: 0 };
+        prop_assert_eq!(ending(&reader.next_frame(&mut src).unwrap_err()), End::Truncated);
+        prop_assert!(reader.capacity() <= initial.max(2 * wire.len()));
+        prop_assert!(reader.capacity() < claimed as usize);
+    }
+
+    #[test]
+    fn frames_built_in_place_equal_write_frames_bytes(
+        seed in any::<u64>(),
+        frames in 1usize..6,
+    ) {
+        let (payloads, wire) = random_stream(seed, frames);
+        let mut out = Vec::new();
+        for p in &payloads {
+            let start = begin_frame(&mut out);
+            out.extend_from_slice(p);
+            end_frame(&mut out, start).unwrap();
+        }
+        prop_assert_eq!(out, wire);
     }
 }
