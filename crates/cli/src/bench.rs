@@ -114,7 +114,8 @@ fn run_suite(iters: usize, quick: bool) -> (Vec<CaseResult>, String) {
     // `fp61_matmul_lazy` stays pinned to the scalar kernel so the
     // trajectory remains comparable with pre-SIMD snapshots;
     // `fp61_matmul_simd` measures the runtime-dispatched vector path
-    // (identical numbers on machines without AVX2).
+    // (identical numbers on machines without AVX2); the snapshot's
+    // `machine.simd_tier` names the tier it ran on.
     simd::force_scalar(true);
     case("fp61_matmul_lazy", n, n * n * n, &mut || {
         std::hint::black_box(a.matmul_serial(&b).unwrap());
@@ -519,9 +520,10 @@ fn render_json(opts: &BenchOptions, index: usize, cases: &[CaseResult], telemetr
     );
     let _ = writeln!(
         j,
-        "    \"parallel_feature\": {}",
+        "    \"parallel_feature\": {},",
         cfg!(feature = "parallel")
     );
+    let _ = writeln!(j, "    \"simd_tier\": \"{}\"", simd::tier());
     let _ = writeln!(j, "  }},");
     let _ = writeln!(j, "  \"telemetry\": {telemetry},");
     let _ = writeln!(j, "  \"cases\": [");
@@ -625,6 +627,7 @@ mod tests {
         assert!(json.contains("\"fp61_decode_general_gauss\""));
         assert!(json.contains("\"fp61_decode_general_planned\""));
         assert!(json.contains("\"parallel_feature\""));
+        assert!(json.contains("\"simd_tier\": \""));
         // The embedded telemetry section from the cluster cases.
         assert!(json.contains("\"telemetry\""));
         assert!(json.contains("\"telemetry_feature\""));

@@ -108,6 +108,7 @@ impl Fp61 {
     /// Creates a field element from an already-canonical representative
     /// (crate-internal: the simd kernels produce canonical residues).
     #[inline]
+    #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
     pub(crate) fn from_canonical(value: u64) -> Self {
         debug_assert!(value < MODULUS);
         Fp61(value)
@@ -376,33 +377,18 @@ impl Scalar for Fp61 {
 
     fn dot_slices(a: &[Self], b: &[Self]) -> Self {
         debug_assert_eq!(a.len(), b.len());
-        // Runtime SIMD dispatch: both paths produce the canonical
-        // representative, so this is a speed decision only (bit-identical
-        // results either way; see `crate::simd` docs).
-        if a.len() >= crate::simd::MIN_DOT_LEN && crate::simd::active() {
-            if let Some(v) = crate::simd::dot_fp61(a, b) {
-                return v;
-            }
-        }
-        Fp61::dot_slices_scalar(a, b)
+        // Runtime SIMD dispatch by CPU tier and slice length: every path
+        // produces the canonical representative, so this is a speed
+        // decision only (bit-identical results; see `crate::simd` docs).
+        crate::simd::dot_fp61(a, b).unwrap_or_else(|| Fp61::dot_slices_scalar(a, b))
     }
 
     fn dot_slices_x4(a: &[Self], b: [&[Self]; 4]) -> [Self; 4] {
-        // Same dispatch rule as `dot_slices`; the 4-column microkernel
-        // shares the `a` loads and runs four accumulator chains, but
-        // each column's arithmetic is identical to a single dot, so the
-        // result is bit-identical either way.
-        if a.len() >= crate::simd::MIN_DOT_LEN && crate::simd::active() {
-            if let Some(v) = crate::simd::dot4_fp61(a, b) {
-                return v;
-            }
-        }
-        [
-            Fp61::dot_slices(a, b[0]),
-            Fp61::dot_slices(a, b[1]),
-            Fp61::dot_slices(a, b[2]),
-            Fp61::dot_slices(a, b[3]),
-        ]
+        // Same dispatch rule as `dot_slices`; the column-blocked
+        // microkernel shares the `a` loads across columns, but each
+        // column's result is the canonical representative, so it is
+        // bit-identical to four single dots.
+        crate::simd::dot4_fp61(a, b).unwrap_or_else(|| b.map(|col| Fp61::dot_slices(a, col)))
     }
 
     fn fused_muladd(acc: &mut [Self], factor: Self, rhs: &[Self]) {

@@ -32,12 +32,11 @@
 //! ```
 
 // `deny` rather than `forbid`: the `simd` module opts back in with a
-// scoped `#[allow(unsafe_code)]` for the AVX2 intrinsics (every unsafe
-// block there is behind runtime CPU-feature detection); everything else
-// in the crate remains unsafe-free.
+// scoped `#[allow(unsafe_code)]` for the AVX2/AVX-512F intrinsics (every
+// unsafe block there is behind runtime CPU-feature detection);
+// everything else in the crate remains unsafe-free.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
-#![cfg_attr(feature = "portable-simd", feature(portable_simd))]
 
 pub mod error;
 pub mod fp;

@@ -1,58 +1,91 @@
-//! Explicit-SIMD-width kernels for GF(2⁶¹ − 1): an AVX2 microkernel for
-//! the lazy dot product, behind runtime CPU-feature detection.
+//! Full-vector-width kernels for the GF(2⁶¹ − 1) dot product: one
+//! deferred-reduction body instantiated at 512 bits (AVX-512F) and at
+//! 256 bits (AVX2), behind runtime CPU-feature detection.
 //!
 //! # Dispatch policy
 //!
-//! [`Fp61`]'s [`Scalar::dot_slices`](crate::Scalar::dot_slices) override
-//! routes through [`active`] + [`dot_fp61`]: slices of at least
-//! [`MIN_DOT_LEN`] elements take the vector path when the CPU reports
-//! AVX2 (checked once, cached), and everything else falls back to the
-//! portable scalar lazy kernel. Because GF(2⁶¹ − 1) arithmetic is exact,
-//! the two paths return *bit-identical* canonical representatives — the
-//! dispatch is a pure speed decision, never a semantics decision, and
-//! `--no-default-features` / non-x86 builds simply never take it.
-//! [`force_scalar`] pins the dispatch to the scalar kernel so benches and
-//! agreement tests can measure/compare both paths on the same machine.
+//! [`Fp61`]'s [`Scalar::dot_slices`](crate::Scalar::dot_slices) and
+//! [`Scalar::dot_slices_x4`](crate::Scalar::dot_slices_x4) overrides ask
+//! [`dot_fp61`] / [`dot4_fp61`] first and run the portable scalar lazy
+//! kernel when those return `None`. The CPU's best tier is detected once
+//! and cached; which tier a call takes is then decided by the slice
+//! length alone, against measured thresholds (the private `DOT_MIN` and
+//! `DOT4_MIN`). GF(2⁶¹ − 1) arithmetic is exact, so every tier returns
+//! the *bit-identical* canonical representative — dispatch is a pure
+//! speed decision, never a semantics decision, and non-x86 builds simply
+//! never leave the scalar kernel. [`force_scalar`] pins the dispatch to
+//! the scalar kernel so benches and agreement tests can measure/compare
+//! the paths on the same machine.
 //!
-//! # The semi-reduced product
+//! # Deferred reduction
 //!
-//! AVX2 has no 64×64→128 lane multiply, so the microkernel splits each
-//! canonical representative `a < 2^61` as `a = aH·2^32 + aL` and builds
-//! the product from four 32×32→64 [`_mm256_mul_epu32`] partials:
+//! No vector ISA here has a 64×64→128 lane multiply, so each canonical
+//! representative `a < 2^61` is split at 32 bits, `a = aH·2^32 + aL`
+//! (`aL < 2^32`, `aH < 2^29`), and a product is four 32×32→64 `vpmuludq`
+//! partials: `a·b = ll + 2^32·mid + 2^64·hh` with `mid = lh + hl`.
+//! Nothing is folded per product. Per 64-bit lane the loop keeps five
+//! accumulators over the `n` products the lane has seen:
 //!
-//! ```text
-//! a·b = LL + 2^32·(LH + HL) + 2^64·HH
-//! ```
+//! * `Σll` and `Σmid` each as a *wrapping* sum `W` plus the exact sum `H`
+//!   of the terms' high halves (`ll>>32 < 2^32`, `mid>>32 < 2^30`, since
+//!   `mid < 2^62`). The low halves sum to `L = Σ(x & (2^32−1)) < n·2^32`,
+//!   and `W ≡ 2^32·H + L (mod 2^64)`, so `L = W − (H<<32)` wrapping is
+//!   exact while `L < 2^64`;
+//! * `Σhh` directly: `hh < 2^58`, so a Mersenne-folded carry (`≤ p + 7`)
+//!   plus 32 more terms stays below `2^61 + 2^63` — one fold every
+//!   `HH_FOLD_PERIOD = 32` vectors, none in between.
 //!
-//! Each term is folded into a *semi-reduced* 64-bit lane value using the
-//! Mersenne identity `2^61 ≡ 1 (mod p)`:
-//!
-//! * `2^64·HH ≡ 8·HH < 2^61`  (HH < 2^58);
-//! * `2^32·M ≡ M_hi + M_lo·2^32` for `M = LH + HL < 2^62` split at bit 29
-//!   (`M_hi = M >> 29 < 2^33`, `M_lo·2^32 < 2^61`);
-//! * `LL ≡ (LL & p) + (LL >> 61) < 2^61 + 8`.
-//!
-//! The sum `t` of the three folded terms stays below `3·2^61 + 2^34`, so
-//! one more fold gives a semi-reduced product `< 2^61 + 3` per lane. A
-//! 4×u64 accumulator absorbs six semi-reduced products plus its own
-//! folded carry (`7·(2^61 + 8) < 2^64`) before it must fold again, which
-//! sets the 24-element block length [`MIN_DOT_LEN`]. The horizontal
-//! finish sums the four lanes (and the scalar tail) in `u128` and
-//! canonicalizes with the same wide reduction the scalar kernel uses.
-//!
-//! An equivalent `std::simd` portable-vector kernel is available behind
-//! the non-default `portable-simd` cargo feature (nightly-only; the CI
-//! matrix never enables it).
+//! With `2^61 ≡ 1 (mod p)` the lane total is
+//! `L_ll + 2^32·(H_ll + L_mid) + 8·(H_mid + Σhh)`. For `n < 2^30` the
+//! three coefficients are `< 2^62`, `< 2^63` and `< 2^64`, so the finish
+//! stays in 64-bit lanes: `2^32·t ≡ (t>>29) + ((t & (2^29−1))<<32)` and
+//! `8·u ≡ (u>>58) + ((u & (2^58−1))<<3)` are each `< 2^61 + 2^34`, their
+//! sum with the folded `L_ll` is `< 2^63`, and one last fold leaves
+//! `≤ p + 3` per lane. Lanes and the `< LANES` leftover products are
+//! summed in `u128` and canonicalized by the scalar kernel's
+//! `reduce_wide`. Dispatch caps slices at `MAX_LEN = 2^30` elements in
+//! total, far inside the `n < 2^30` *per lane* the argument needs.
 #![allow(unsafe_code)]
+#![deny(unsafe_op_in_unsafe_fn)]
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use crate::fp::Fp61;
 
-/// Minimum slice length for which the vector path is attempted: one full
-/// accumulator block. Shorter dots (e.g. triangular-solve prefixes) stay
-/// on the scalar kernel, whose startup cost is lower.
-pub const MIN_DOT_LEN: usize = 24;
+/// Longest slice the vector kernels accept; see the module docs.
+const MAX_LEN: usize = 1 << 30;
+
+/// A dispatch tier, ordered by vector width.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+enum Tier {
+    Scalar,
+    Avx2,
+    Avx512,
+}
+
+/// Shortest slices the `[256-bit, 512-bit]` 4-column kernels take;
+/// shorter ones stay on the tier below. Measured in a hot loop with
+/// `simd_threshold_sweep_report` (Sapphire Rapids, one pinned CPU, ns per
+/// multiplication, single dot / 4-column): at 16 elements scalar 0.92,
+/// AVX2 0.82 / 0.73; at 24 scalar 0.74, AVX2 0.68 / 0.62, AVX-512
+/// 0.73 / 0.70; at 48 AVX2 0.51 / 0.50, AVX-512 0.51 / 0.49; at 64 AVX2
+/// 0.49 / 0.46, AVX-512 0.46 / 0.44; at 96 scalar 0.55, AVX2 0.46 / 0.43,
+/// AVX-512 0.42 / 0.39; at 1024 scalar 0.40, AVX2 0.32 / 0.30, AVX-512
+/// 0.24 / 0.22. AVX2 already edges out the scalar kernel at 16, by ~2 ns
+/// per dot; the floor stays at 24 so the l = 16 serving shapes keep
+/// running exactly the code they ran before.
+const DOT4_MIN: [usize; 2] = [24, 64];
+
+/// The same for single dots. The 256-bit floor is the hot-loop crossover
+/// above. The 512-bit one is not: single dots come from mat-vecs a few
+/// rows long wedged between thread hops, and there short 512-bit bursts
+/// lose end to end what they win in a loop. On the repo benchmark's
+/// `inproc_supervised_quorum` shape (m = 48, one mat-vec per query per
+/// device) with `l` varied, 512-bit against 256-bit `throughput_qps` won
+/// 1 of 10 alternated pairs at l = 96 (−9 % in the median), 1 of 6 at
+/// 192, 3 of 6 at 384 and 5 of 6 at 768.
+const DOT_MIN: [usize; 2] = [24, 512];
 
 /// Bench/test override: when `true`, [`active`] reports `false` and every
 /// dot runs the portable scalar kernel regardless of CPU features.
@@ -65,383 +98,426 @@ pub fn force_scalar(on: bool) {
     FORCE_SCALAR.store(on, Ordering::Relaxed);
 }
 
-/// Whether the running CPU supports the AVX2 microkernel. Detected once
-/// and cached; always `false` on non-x86_64 targets.
-pub fn avx2_available() -> bool {
+/// The widest tier the running CPU supports. Detected once and cached;
+/// always [`Tier::Scalar`] on non-x86_64 targets.
+fn detected() -> Tier {
     #[cfg(target_arch = "x86_64")]
     {
-        static DETECTED: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-        *DETECTED.get_or_init(|| std::arch::is_x86_feature_detected!("avx2"))
+        static DETECTED: std::sync::OnceLock<Tier> = std::sync::OnceLock::new();
+        *DETECTED.get_or_init(|| {
+            let avx2 = std::arch::is_x86_feature_detected!("avx2");
+            if avx2 && std::arch::is_x86_feature_detected!("avx512f") {
+                Tier::Avx512
+            } else if avx2 {
+                Tier::Avx2
+            } else {
+                Tier::Scalar
+            }
+        })
     }
     #[cfg(not(target_arch = "x86_64"))]
     {
-        false
+        Tier::Scalar
     }
 }
 
-/// Whether [`dot_fp61`] would currently take a vector path: a SIMD
-/// kernel is compiled in and available on this CPU, and no
-/// [`force_scalar`] override is in effect.
+/// The tier a slice of `len` elements takes under the `[256-bit,
+/// 512-bit]` minimum lengths `min`. The length floor is tested first so
+/// the short dots of the small serving shapes pay one compare.
+#[inline]
+fn select(len: usize, min: [usize; 2]) -> Tier {
+    if len < min[0] || len > MAX_LEN || FORCE_SCALAR.load(Ordering::Relaxed) {
+        return Tier::Scalar;
+    }
+    match detected() {
+        Tier::Avx512 if len >= min[1] => Tier::Avx512,
+        Tier::Scalar => Tier::Scalar,
+        _ => Tier::Avx2,
+    }
+}
+
+/// Whether the running CPU supports the AVX2 kernels. Detected once and
+/// cached; always `false` on non-x86_64 targets.
+pub fn avx2_available() -> bool {
+    detected() >= Tier::Avx2
+}
+
+/// Whether long dots currently take a vector path: the CPU has one and
+/// no [`force_scalar`] override is in effect.
 pub fn active() -> bool {
-    if FORCE_SCALAR.load(Ordering::Relaxed) {
-        return false;
-    }
-    #[cfg(feature = "portable-simd")]
-    {
-        return true;
-    }
-    #[cfg(not(feature = "portable-simd"))]
-    avx2_available()
+    select(MAX_LEN, [0, 0]) != Tier::Scalar
 }
 
-/// Vector dot product over GF(2⁶¹ − 1), or `None` when no SIMD path is
-/// available (wrong architecture, AVX2 absent, or [`force_scalar`] set).
-/// When `Some`, the result is the canonical representative and is
-/// bit-identical to [`Fp61::dot_slices_scalar`].
+/// The widest tier dispatch currently uses — `"avx512f"`, `"avx2"` or
+/// `"scalar"` (no vector unit, non-x86, or [`force_scalar`] set).
+pub fn tier() -> &'static str {
+    match select(MAX_LEN, [0, 0]) {
+        Tier::Avx512 => "avx512f",
+        Tier::Avx2 => "avx2",
+        Tier::Scalar => "scalar",
+    }
+}
+
+impl Tier {
+    /// This tier's single-dot kernel, whatever the length.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the CPU lacks the tier or the lengths differ.
+    fn dot(self, a: &[Fp61], b: &[Fp61]) -> Fp61 {
+        assert!(self <= detected(), "{self:?} kernels need CPU support");
+        match self {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `self <= detected()`, so the CPU reported avx512f.
+            Tier::Avx512 => unsafe { avx512::dot(a, b) },
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `self <= detected()`, so the CPU reported avx2.
+            Tier::Avx2 => unsafe { avx2::dot(a, b) },
+            _ => Fp61::dot_slices_scalar(a, b),
+        }
+    }
+
+    /// This tier's 4-column kernel; same contract as [`Tier::dot`].
+    fn dot4(self, a: &[Fp61], b: [&[Fp61]; 4]) -> [Fp61; 4] {
+        assert!(self <= detected(), "{self:?} kernels need CPU support");
+        match self {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `self <= detected()`, so the CPU reported avx512f.
+            Tier::Avx512 => unsafe { avx512::dot4(a, b) },
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `self <= detected()`, so the CPU reported avx2.
+            Tier::Avx2 => unsafe { avx2::dot4(a, b) },
+            _ => b.map(|col| Fp61::dot_slices_scalar(a, col)),
+        }
+    }
+}
+
+/// Vector dot product over GF(2⁶¹ − 1), or `None` when the scalar kernel
+/// should run instead (slice below the measured threshold, no vector
+/// unit, or [`force_scalar`] set). When `Some`, the result is the
+/// canonical representative and is bit-identical to
+/// [`Fp61::dot_slices_scalar`].
 ///
 /// # Panics
 ///
-/// Panics when the slices have different lengths.
+/// Panics when a vector kernel is selected and the lengths differ.
+#[inline]
 pub fn dot_fp61(a: &[Fp61], b: &[Fp61]) -> Option<Fp61> {
-    assert_eq!(a.len(), b.len(), "simd dot length mismatch");
-    if FORCE_SCALAR.load(Ordering::Relaxed) {
-        return None;
-    }
-    #[cfg(target_arch = "x86_64")]
-    if avx2_available() {
-        // Safety: AVX2 support was just verified at runtime.
-        return Some(unsafe { avx2::dot(a, b) });
-    }
-    #[cfg(feature = "portable-simd")]
-    {
-        return Some(portable::dot(a, b));
-    }
-    #[allow(unreachable_code)]
-    None
+    let tier = select(a.len(), DOT_MIN);
+    (tier != Tier::Scalar).then(|| tier.dot(a, b))
 }
 
 /// Four vector dot products over GF(2⁶¹ − 1) sharing the left operand,
-/// or `None` when no SIMD path is available. The 4-column microkernel
-/// loads each `a` vector once and feeds four independent accumulator
-/// chains — the single-dot kernel is latency-bound on its one
-/// accumulator, so this is where the matmul speedup actually comes from.
-/// When `Some`, each entry is bit-identical to the corresponding
+/// or `None` when the scalar kernel should run instead. The column-
+/// blocked microkernel loads and splits each `a` vector once for all the
+/// columns it keeps in registers (four at 512 bits, two at 256). When
+/// `Some`, each entry is bit-identical to the corresponding
 /// [`dot_fp61`] / scalar result.
 ///
 /// # Panics
 ///
-/// Panics when any slice length differs from `a`'s.
+/// Panics when a vector kernel is selected and any slice length differs
+/// from `a`'s.
+#[inline]
 pub fn dot4_fp61(a: &[Fp61], b: [&[Fp61]; 4]) -> Option<[Fp61; 4]> {
-    for col in &b {
-        assert_eq!(a.len(), col.len(), "simd dot4 length mismatch");
-    }
-    if FORCE_SCALAR.load(Ordering::Relaxed) {
-        return None;
-    }
-    #[cfg(target_arch = "x86_64")]
-    if avx2_available() {
-        // Safety: AVX2 support was just verified at runtime.
-        return Some(unsafe { avx2::dot4(a, b) });
-    }
-    #[cfg(feature = "portable-simd")]
-    {
-        return Some([
-            portable::dot(a, b[0]),
-            portable::dot(a, b[1]),
-            portable::dot(a, b[2]),
-            portable::dot(a, b[3]),
-        ]);
-    }
-    #[allow(unreachable_code)]
-    None
+    let tier = select(a.len(), DOT4_MIN);
+    (tier != Tier::Scalar).then(|| tier.dot4(a, b))
 }
 
+/// Instantiates the deferred-reduction kernel (module docs) for one
+/// vector width: `$vec` holds `$lanes` 64-bit lanes, `dot4` keeps
+/// `$cols` columns' accumulators in registers per pass, and the rest
+/// are that width's intrinsics.
 #[cfg(target_arch = "x86_64")]
-mod avx2 {
-    use core::arch::x86_64::{
-        __m256i, _mm256_add_epi64, _mm256_and_si256, _mm256_loadu_si256, _mm256_mul_epu32,
-        _mm256_set1_epi64x, _mm256_setzero_si256, _mm256_slli_epi64, _mm256_srli_epi64,
-        _mm256_storeu_si256,
+macro_rules! deferred_kernels {
+    ($tier:ident, $feature:literal, $vec:ident, $lanes:literal, $cols:literal,
+     $load:ident, $store:ident, $zero:ident, $set1:ident, $add:ident, $sub:ident,
+     $and:ident, $mul:ident, $srli:ident, $slli:ident) => {
+        mod $tier {
+            use core::arch::x86_64::{
+                $add, $and, $load, $mul, $set1, $slli, $srli, $store, $sub, $vec, $zero,
+            };
+
+            use crate::fp::{Fp61, MODULUS};
+
+            const LANES: usize = $lanes;
+            /// Vectors between folds of the `Σhh` accumulator.
+            const HH_FOLD_PERIOD: usize = 32;
+
+            /// One Mersenne fold: `≤ p + 7` and congruent to `x (mod p)`.
+            #[target_feature(enable = $feature)]
+            #[inline]
+            fn fold(x: $vec) -> $vec {
+                $add($and(x, $set1(MODULUS as i64)), $srli::<61>(x))
+            }
+
+            /// `C` dots sharing the left operand; canonical results.
+            #[target_feature(enable = $feature)]
+            #[inline]
+            fn dots<const C: usize>(a: &[Fp61], b: [&[Fp61]; C]) -> [Fp61; C] {
+                let n = a.len();
+                // Every load below relies on this, so it is not a debug check.
+                assert!(b.iter().all(|col| col.len() == n), "dot length mismatch");
+                // Fp61 is #[repr(transparent)] over u64.
+                let ap = a.as_ptr().cast::<u64>();
+                let bp = b.map(|col| col.as_ptr().cast::<u64>());
+                let vectors = n / LANES;
+                let (mut w_ll, mut h_ll) = ([$zero(); C], [$zero(); C]);
+                let (mut w_mid, mut h_mid) = ([$zero(); C], [$zero(); C]);
+                let mut hh = [$zero(); C];
+                let mut v = 0;
+                while v < vectors {
+                    for acc in &mut hh {
+                        *acc = fold(*acc);
+                    }
+                    let block_end = (v + HH_FOLD_PERIOD).min(vectors);
+                    while v < block_end {
+                        let off = v * LANES;
+                        debug_assert!(off + LANES <= n);
+                        // SAFETY: v < vectors = n / LANES, so the LANES
+                        // u64s at `off` end at (v + 1)·LANES ≤ a.len().
+                        let av = unsafe { $load(ap.add(off).cast()) };
+                        let ah = $srli::<32>(av);
+                        for c in 0..C {
+                            // SAFETY: as for `av`; b[c].len() == n was
+                            // asserted on entry.
+                            let bv = unsafe { $load(bp[c].add(off).cast()) };
+                            let bh = $srli::<32>(bv);
+                            // vpmuludq reads the low 32 bits of each lane.
+                            let ll = $mul(av, bv);
+                            let mid = $add($mul(av, bh), $mul(ah, bv));
+                            w_ll[c] = $add(w_ll[c], ll);
+                            h_ll[c] = $add(h_ll[c], $srli::<32>(ll));
+                            w_mid[c] = $add(w_mid[c], mid);
+                            h_mid[c] = $add(h_mid[c], $srli::<32>(mid));
+                            hh[c] = $add(hh[c], $mul(ah, bh));
+                        }
+                        v += 1;
+                    }
+                }
+                let mask29 = $set1((1i64 << 29) - 1);
+                let mask58 = $set1((1i64 << 58) - 1);
+                let mut out = [Fp61::from_canonical(0); C];
+                for c in 0..C {
+                    let l_ll = $sub(w_ll[c], $slli::<32>(h_ll[c]));
+                    let l_mid = $sub(w_mid[c], $slli::<32>(h_mid[c]));
+                    let t = $add(h_ll[c], l_mid); // weight 2^32
+                    let u = $add(h_mid[c], hh[c]); // weight 2^64 ≡ 8
+                    let t = $add($srli::<29>(t), $slli::<32>($and(t, mask29)));
+                    let u = $add($srli::<58>(u), $slli::<3>($and(u, mask58)));
+                    let lane_sums = fold($add($add(fold(l_ll), t), u));
+                    let mut lanes = [0u64; LANES];
+                    // SAFETY: `lanes` is exactly one vector wide and the
+                    // store is unaligned.
+                    unsafe { $store(lanes.as_mut_ptr().cast(), lane_sums) };
+                    let mut total: u128 = lanes.iter().map(|&x| u128::from(x)).sum();
+                    // Fewer than LANES leftover products of < 2^122 each.
+                    for (x, y) in a[vectors * LANES..].iter().zip(&b[c][vectors * LANES..]) {
+                        total += u128::from(x.residue()) * u128::from(y.residue());
+                    }
+                    out[c] = Fp61::from_canonical(Fp61::reduce_wide(total));
+                }
+                out
+            }
+
+            #[target_feature(enable = $feature)]
+            pub(super) fn dot(a: &[Fp61], b: &[Fp61]) -> Fp61 {
+                dots(a, [b])[0]
+            }
+
+            #[target_feature(enable = $feature)]
+            pub(super) fn dot4(a: &[Fp61], b: [&[Fp61]; 4]) -> [Fp61; 4] {
+                let mut out = [Fp61::from_canonical(0); 4];
+                for (o, cols) in out.chunks_exact_mut($cols).zip(b.chunks_exact($cols)) {
+                    let cols: [&[Fp61]; $cols] = cols.try_into().expect("chunks_exact width");
+                    o.copy_from_slice(&dots(a, cols));
+                }
+                out
+            }
+        }
     };
-
-    use crate::fp::{Fp61, MODULUS};
-
-    /// Elements per accumulator block: 6 vectors × 4 lanes. Derived in
-    /// the module docs from the `7·(2^61 + 8) < 2^64` lane headroom.
-    const BLOCK: usize = 24;
-
-    /// Semi-reduced lane-wise product of canonical representatives: each
-    /// output lane is `< 2^61 + 3` and congruent to `a·b (mod p)`.
-    ///
-    /// # Safety
-    ///
-    /// Caller must have verified AVX2 support.
-    #[target_feature(enable = "avx2")]
-    #[inline]
-    unsafe fn mul_semi(av: __m256i, bv: __m256i, p: __m256i, mask29: __m256i) -> __m256i {
-        let ah = _mm256_srli_epi64::<32>(av);
-        let bh = _mm256_srli_epi64::<32>(bv);
-        // mul_epu32 multiplies the low 32 bits of each 64-bit lane.
-        let ll = _mm256_mul_epu32(av, bv);
-        let lh = _mm256_mul_epu32(av, bh);
-        let hl = _mm256_mul_epu32(ah, bv);
-        let hh = _mm256_mul_epu32(ah, bh);
-        // 2^32·(LH + HL) ≡ M_hi + M_lo·2^32 with M split at bit 29.
-        let m = _mm256_add_epi64(lh, hl);
-        let mterm = _mm256_add_epi64(
-            _mm256_slli_epi64::<32>(_mm256_and_si256(m, mask29)),
-            _mm256_srli_epi64::<29>(m),
-        );
-        // 2^64·HH ≡ 8·HH.
-        let hterm = _mm256_slli_epi64::<3>(hh);
-        // LL ≡ (LL & p) + (LL >> 61).
-        let lterm = _mm256_add_epi64(_mm256_and_si256(ll, p), _mm256_srli_epi64::<61>(ll));
-        let t = _mm256_add_epi64(_mm256_add_epi64(lterm, mterm), hterm);
-        _mm256_add_epi64(_mm256_and_si256(t, p), _mm256_srli_epi64::<61>(t))
-    }
-
-    /// AVX2 lazy dot product; returns the canonical representative.
-    ///
-    /// # Safety
-    ///
-    /// Caller must have verified AVX2 support (`avx2_available()`).
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn dot(a: &[Fp61], b: &[Fp61]) -> Fp61 {
-        debug_assert_eq!(a.len(), b.len());
-        let n = a.len();
-        // Safety: Fp61 is #[repr(transparent)] over u64.
-        let ap = a.as_ptr() as *const u64;
-        let bp = b.as_ptr() as *const u64;
-        let p = _mm256_set1_epi64x(MODULUS as i64);
-        let mask29 = _mm256_set1_epi64x(((1u64 << 29) - 1) as i64);
-        let mut acc = _mm256_setzero_si256();
-        let blocks = n / BLOCK;
-        for blk in 0..blocks {
-            let base = blk * BLOCK;
-            // Six semi-reduced products per lane, then one fold: the
-            // folded carry plus six semis stays below 2^64 (module docs).
-            for v in 0..6 {
-                let off = base + v * 4;
-                let av = _mm256_loadu_si256(ap.add(off) as *const __m256i);
-                let bv = _mm256_loadu_si256(bp.add(off) as *const __m256i);
-                acc = _mm256_add_epi64(acc, mul_semi(av, bv, p, mask29));
-            }
-            acc = _mm256_add_epi64(_mm256_and_si256(acc, p), _mm256_srli_epi64::<61>(acc));
-        }
-        let mut lanes = [0u64; 4];
-        _mm256_storeu_si256(lanes.as_mut_ptr() as *mut __m256i, acc);
-        let mut total: u128 = lanes.iter().map(|&x| x as u128).sum();
-        // Scalar tail: at most BLOCK−1 unreduced products, well inside
-        // u128 headroom on top of the four folded lanes.
-        for i in blocks * BLOCK..n {
-            total += (*ap.add(i) as u128) * (*bp.add(i) as u128);
-        }
-        Fp61::from_canonical(Fp61::reduce_wide(total))
-    }
-
-    /// AVX2 4-column lazy dot: `[a·b0, a·b1, a·b2, a·b3]` with one `a`
-    /// load shared across four independent accumulators. Each column
-    /// runs exactly the semi-reduce/fold/finish sequence of [`dot`], so
-    /// the results are bit-identical to four single dots.
-    ///
-    /// # Safety
-    ///
-    /// Caller must have verified AVX2 support (`avx2_available()`).
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn dot4(a: &[Fp61], b: [&[Fp61]; 4]) -> [Fp61; 4] {
-        let n = a.len();
-        // Safety: Fp61 is #[repr(transparent)] over u64.
-        let ap = a.as_ptr() as *const u64;
-        let bps = [
-            b[0].as_ptr() as *const u64,
-            b[1].as_ptr() as *const u64,
-            b[2].as_ptr() as *const u64,
-            b[3].as_ptr() as *const u64,
-        ];
-        let p = _mm256_set1_epi64x(MODULUS as i64);
-        let mask29 = _mm256_set1_epi64x(((1u64 << 29) - 1) as i64);
-        let mut acc = [_mm256_setzero_si256(); 4];
-        let blocks = n / BLOCK;
-        for blk in 0..blocks {
-            let base = blk * BLOCK;
-            for v in 0..6 {
-                let off = base + v * 4;
-                let av = _mm256_loadu_si256(ap.add(off) as *const __m256i);
-                for (c, bp) in bps.iter().enumerate() {
-                    let bv = _mm256_loadu_si256(bp.add(off) as *const __m256i);
-                    acc[c] = _mm256_add_epi64(acc[c], mul_semi(av, bv, p, mask29));
-                }
-            }
-            for a in &mut acc {
-                *a = _mm256_add_epi64(_mm256_and_si256(*a, p), _mm256_srli_epi64::<61>(*a));
-            }
-        }
-        let mut out = [Fp61::new(0); 4];
-        for (c, bp) in bps.iter().enumerate() {
-            let mut lanes = [0u64; 4];
-            _mm256_storeu_si256(lanes.as_mut_ptr() as *mut __m256i, acc[c]);
-            let mut total: u128 = lanes.iter().map(|&x| x as u128).sum();
-            for i in blocks * BLOCK..n {
-                total += (*ap.add(i) as u128) * (*bp.add(i) as u128);
-            }
-            out[c] = Fp61::from_canonical(Fp61::reduce_wide(total));
-        }
-        out
-    }
 }
 
-/// `std::simd` portable-vector kernel (nightly-only, behind the
-/// non-default `portable-simd` feature). Same semi-reduced block scheme
-/// as the AVX2 kernel, written against `u64x4`; the 32×32→64 partial
-/// products use plain lane multiplies of masked halves, which cannot
-/// overflow.
-#[cfg(feature = "portable-simd")]
-mod portable {
-    use std::simd::u64x4;
+// 32 zmm registers: all 4 × 5 accumulators of a 1×4 pass stay live.
+#[cfg(target_arch = "x86_64")]
+deferred_kernels!(
+    avx512,
+    "avx512f",
+    __m512i,
+    8,
+    4,
+    _mm512_loadu_si512,
+    _mm512_storeu_si512,
+    _mm512_setzero_si512,
+    _mm512_set1_epi64,
+    _mm512_add_epi64,
+    _mm512_sub_epi64,
+    _mm512_and_si512,
+    _mm512_mul_epu32,
+    _mm512_srli_epi64,
+    _mm512_slli_epi64
+);
 
-    use crate::fp::{Fp61, MODULUS};
-
-    const BLOCK: usize = 24;
-
-    #[inline]
-    fn mul_semi(av: u64x4, bv: u64x4, p: u64x4, mask29: u64x4, mask32: u64x4) -> u64x4 {
-        let al = av & mask32;
-        let ah = av >> 32;
-        let bl = bv & mask32;
-        let bh = bv >> 32;
-        let ll = al * bl;
-        let m = al * bh + ah * bl;
-        let mterm = ((m & mask29) << 32) + (m >> 29);
-        let hterm = (ah * bh) << 3;
-        let lterm = (ll & p) + (ll >> 61);
-        let t = lterm + mterm + hterm;
-        (t & p) + (t >> 61)
-    }
-
-    pub(super) fn dot(a: &[Fp61], b: &[Fp61]) -> Fp61 {
-        debug_assert_eq!(a.len(), b.len());
-        let n = a.len();
-        let p = u64x4::splat(MODULUS);
-        let mask29 = u64x4::splat((1u64 << 29) - 1);
-        let mask32 = u64x4::splat(u32::MAX as u64);
-        let mut acc = u64x4::splat(0);
-        let blocks = n / BLOCK;
-        let mut lane = [0u64; 4];
-        for blk in 0..blocks {
-            let base = blk * BLOCK;
-            for v in 0..6 {
-                let off = base + v * 4;
-                for (l, slot) in lane.iter_mut().enumerate() {
-                    *slot = a[off + l].residue();
-                }
-                let av = u64x4::from_array(lane);
-                for (l, slot) in lane.iter_mut().enumerate() {
-                    *slot = b[off + l].residue();
-                }
-                let bv = u64x4::from_array(lane);
-                acc += mul_semi(av, bv, p, mask29, mask32);
-            }
-            acc = (acc & p) + (acc >> 61);
-        }
-        let mut total: u128 = acc.to_array().iter().map(|&x| x as u128).sum();
-        for i in blocks * BLOCK..n {
-            total += a[i].residue() as u128 * b[i].residue() as u128;
-        }
-        Fp61::from_canonical(Fp61::reduce_wide(total))
-    }
-}
+// 16 ymm registers: 1×2 blocking (2 × 5 accumulators plus operands).
+#[cfg(target_arch = "x86_64")]
+deferred_kernels!(
+    avx2,
+    "avx2",
+    __m256i,
+    4,
+    2,
+    _mm256_loadu_si256,
+    _mm256_storeu_si256,
+    _mm256_setzero_si256,
+    _mm256_set1_epi64x,
+    _mm256_add_epi64,
+    _mm256_sub_epi64,
+    _mm256_and_si256,
+    _mm256_mul_epu32,
+    _mm256_srli_epi64,
+    _mm256_slli_epi64
+);
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fp::MODULUS;
+    use crate::kernels::{matmul_naive, matvec_naive};
     use crate::scalar::Scalar;
-    use rand::{rngs::StdRng, Rng, SeedableRng};
+    use crate::{Matrix, Vector};
+    use rand::{rngs::StdRng, SeedableRng};
 
-    #[test]
-    fn simd_dot_matches_scalar_when_available() {
-        let Some(()) = avx2_available().then_some(()) else {
-            eprintln!("AVX2 unavailable; skipping simd agreement test");
-            return;
-        };
-        let mut rng = StdRng::seed_from_u64(77);
-        for n in [0usize, 1, 4, 23, 24, 25, 47, 48, 100, 1000] {
-            let a: Vec<Fp61> = (0..n).map(|_| Fp61::sample(&mut rng)).collect();
-            let b: Vec<Fp61> = (0..n).map(|_| Fp61::sample(&mut rng)).collect();
-            let simd = dot_fp61(&a, &b).expect("avx2 path");
-            assert_eq!(simd, Fp61::dot_slices_scalar(&a, &b), "length {n}");
-        }
+    /// The vector tiers this CPU can run, called directly (dispatch only
+    /// ever exercises one tier per length).
+    fn vector_tiers() -> Vec<Tier> {
+        let tiers = [Tier::Avx2, Tier::Avx512];
+        tiers.into_iter().filter(|t| *t <= detected()).collect()
     }
 
-    #[test]
-    fn simd_dot_survives_all_maximum_inputs() {
-        // Overflow boundary: every product is (p−1)², the largest the
-        // semi-reduction and lane accumulator ever absorb.
-        if !avx2_available() {
-            return;
-        }
-        let max = Fp61::new(crate::fp::MODULUS - 1);
-        for n in [24usize, 25, 24 * 7, 24 * 7 + 23] {
-            let a = vec![max; n];
-            let simd = dot_fp61(&a, &a).expect("avx2 path");
-            assert_eq!(simd, Fp61::dot_slices_scalar(&a, &a), "length {n}");
-        }
+    fn random(rng: &mut StdRng, n: usize) -> Vec<Fp61> {
+        (0..n).map(|_| Fp61::sample(rng)).collect()
     }
 
-    #[test]
-    fn simd_dot_random_lengths_fuzz() {
-        if !avx2_available() {
-            return;
-        }
-        let mut rng = StdRng::seed_from_u64(78);
-        for _ in 0..50 {
-            let n = rng.gen_range(0..400);
-            let a: Vec<Fp61> = (0..n).map(|_| Fp61::sample(&mut rng)).collect();
-            let b: Vec<Fp61> = (0..n).map(|_| Fp61::sample(&mut rng)).collect();
-            assert_eq!(
-                dot_fp61(&a, &b).expect("avx2 path"),
-                Fp61::dot_slices_scalar(&a, &b),
-            );
-        }
-    }
-
-    #[test]
-    fn simd_dot4_matches_four_single_dots() {
-        if !avx2_available() {
-            eprintln!("AVX2 unavailable; skipping simd dot4 agreement test");
-            return;
-        }
-        let mut rng = StdRng::seed_from_u64(79);
-        for n in [0usize, 1, 23, 24, 25, 96, 100, 333] {
-            let a: Vec<Fp61> = (0..n).map(|_| Fp61::sample(&mut rng)).collect();
-            let cols: Vec<Vec<Fp61>> = (0..4)
-                .map(|_| (0..n).map(|_| Fp61::sample(&mut rng)).collect())
-                .collect();
-            let got = dot4_fp61(&a, [&cols[0], &cols[1], &cols[2], &cols[3]]).expect("avx2 path");
-            for c in 0..4 {
-                assert_eq!(
-                    got[c],
-                    Fp61::dot_slices_scalar(&a, &cols[c]),
-                    "n={n} col={c}"
-                );
+    /// Lengths around every boundary of every tier: the vector width, the
+    /// scalar kernel's 63-product block, and the `Σhh` fold period
+    /// (32 vectors = 128 elements at 256 bits, 256 at 512).
+    fn boundary_lengths() -> Vec<usize> {
+        let mut lens = vec![0, 1, 7, 8, 9, 15, 16, 17, 23, 24, 25, 1024, 65_536];
+        for k in 1..=3 {
+            for block in [63, 4 * 32, 8 * 32] {
+                lens.extend([block * k - 1, block * k, block * k + 1]);
             }
         }
-        // Overflow boundary, as in the single-dot test.
-        let max = vec![Fp61::new(crate::fp::MODULUS - 1); 24 * 7 + 23];
-        let got = dot4_fp61(&max, [&max, &max, &max, &max]).expect("avx2 path");
-        for v in got {
-            assert_eq!(v, Fp61::dot_slices_scalar(&max, &max));
+        lens
+    }
+
+    /// `tier`'s `dot` and `dot4` against the scalar kernel on one input.
+    fn assert_tier_agrees(tier: Tier, a: &[Fp61], cols: [&[Fp61]; 4], what: &str) {
+        let want = cols.map(|col| Fp61::dot_slices_scalar(a, col));
+        let n = a.len();
+        assert_eq!(tier.dot4(a, cols), want, "{tier:?} dot4 {what} n={n}");
+        for (col, w) in cols.iter().zip(want) {
+            assert_eq!(tier.dot(a, col), w, "{tier:?} dot {what} n={n}");
+        }
+    }
+
+    #[test]
+    fn simd_tiers_match_scalar_at_every_boundary_length() {
+        let tiers = vector_tiers();
+        println!("simd tiers ran: {tiers:?} (of Avx2, Avx512)");
+        let mut rng = StdRng::seed_from_u64(77);
+        for n in boundary_lengths() {
+            // One spare element so the same data also runs offset by one
+            // (8-byte-aligned only: every vector load is unaligned).
+            let a = random(&mut rng, n + 1);
+            let cols: [Vec<Fp61>; 4] = std::array::from_fn(|_| random(&mut rng, n + 1));
+            for &tier in &tiers {
+                assert_tier_agrees(tier, &a[..n], cols.each_ref().map(|c| &c[..n]), "random");
+                assert_tier_agrees(tier, &a[1..], cols.each_ref().map(|c| &c[1..]), "offset");
+            }
+        }
+    }
+
+    #[test]
+    fn simd_tiers_survive_extreme_inputs_across_every_fold() {
+        // All-(p−1) makes every partial product and every accumulator as
+        // large as it can get; 2^32 − 1 maximizes `ll` alone; zeros must
+        // stay zero through the folds.
+        let fills = [MODULUS - 1, u64::from(u32::MAX), 0];
+        for n in boundary_lengths() {
+            for x in fills {
+                for y in fills {
+                    let (a, b) = (vec![Fp61::new(x); n], vec![Fp61::new(y); n]);
+                    for tier in vector_tiers() {
+                        assert_tier_agrees(tier, &a, [&b, &a, &b, &a], "extreme");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn simd_dispatched_matmul_and_matvec_match_naive() {
+        let mut rng = StdRng::seed_from_u64(78);
+        for (rows, inner, cols) in [(3, 1000, 5), (7, 96, 1), (128, 1024, 32)] {
+            let a = Matrix::<Fp61>::random(rows, inner, &mut rng);
+            let b = Matrix::<Fp61>::random(inner, cols, &mut rng);
+            let x = Vector::<Fp61>::random(inner, &mut rng);
+            assert_eq!(a.matmul(&b).unwrap(), matmul_naive(&a, &b).unwrap());
+            assert_eq!(a.matvec(&x).unwrap(), matvec_naive(&a, &x).unwrap());
         }
     }
 
     #[test]
     fn force_scalar_pins_dispatch() {
-        force_scalar(true);
-        assert!(!active());
-        assert_eq!(dot_fp61(&[Fp61::new(3)], &[Fp61::new(5)]), None);
-        force_scalar(false);
-        // Dispatched dot (whatever the platform) equals the scalar kernel.
         let a: Vec<Fp61> = (0..100).map(|i| Fp61::new(i * 17 + 1)).collect();
         let b: Vec<Fp61> = (0..100).map(|i| Fp61::new(i * 31 + 2)).collect();
+        force_scalar(true);
+        assert!(!active());
+        assert_eq!(tier(), "scalar");
+        assert_eq!(dot_fp61(&a, &b), None);
+        force_scalar(false);
+        assert_eq!(active(), detected() > Tier::Scalar);
+        // Past the deferred-reduction bound no vector tier is offered.
+        assert_eq!(select(MAX_LEN, [0, 0]), detected());
+        assert_eq!(select(MAX_LEN + 1, [0, 0]), Tier::Scalar);
+        // Dispatched dot (whatever the platform) equals the scalar kernel.
         assert_eq!(Fp61::dot_slices(&a, &b), Fp61::dot_slices_scalar(&a, &b));
+    }
+
+    /// Threshold sweep, ignored by default: `cargo test --release -p
+    /// scec-linalg -- --ignored threshold_sweep --nocapture` prints
+    /// ns/multiplication per tier per length for both kernel shapes. The
+    /// crossovers are recorded in the `DOT4_MIN` doc comment.
+    #[test]
+    #[ignore]
+    fn simd_threshold_sweep_report() {
+        let mut rng = StdRng::seed_from_u64(42);
+        let time = |n: usize, mults: usize, f: &mut dyn FnMut()| {
+            let reps = (1 << 22) / (n * mults).max(1);
+            let best = (0..9).map(|_| {
+                let start = std::time::Instant::now();
+                (0..reps).for_each(|_| f());
+                start.elapsed().as_nanos() as f64 / (reps * n * mults) as f64
+            });
+            best.fold(f64::INFINITY, f64::min)
+        };
+        for n in [8usize, 16, 24, 32, 48, 64, 96, 128, 256, 512, 1024] {
+            let a = random(&mut rng, n);
+            let cols: [Vec<Fp61>; 4] = std::array::from_fn(|_| random(&mut rng, n));
+            let c = cols.each_ref().map(|c| &c[..]);
+            let a = std::hint::black_box(&a[..]);
+            let mut line = format!("n={n:<5}");
+            for tier in std::iter::once(Tier::Scalar).chain(vector_tiers()) {
+                let d1 = time(n, 1, &mut || {
+                    std::hint::black_box(tier.dot(a, c[0]));
+                });
+                let d4 = time(n, 4, &mut || {
+                    std::hint::black_box(tier.dot4(a, c));
+                });
+                line += &format!(" | {tier:?} dot {d1:.3} dot4 {d4:.3}");
+            }
+            println!("{line}");
+        }
     }
 }
