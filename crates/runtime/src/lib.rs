@@ -4,23 +4,31 @@
 //! are processes exchanging messages. This crate runs the four-step
 //! protocol over **actual concurrency**: each edge device is an OS thread
 //! owning its coded share, connected to the user by crossbeam channels,
-//! speaking a typed [`message`] protocol. Four clusters are
-//! provided:
+//! speaking a typed [`message`] protocol.
+//!
+//! There is one query path. [`Cluster`] runs it — launch, broadcast,
+//! collect, account, decode, shut down, with pipelined concurrent
+//! requests correlated by id — for any [`CodeScheme`], the trait that
+//! carries the three things codes differ in: share layout, which answer
+//! sets suffice, and the decoder (table in [`scheme`]). Its aliases are
+//! the clusters by name:
 //!
 //! * [`LocalCluster`] — the base protocol: install shares, fan a query
-//!   out, wait for *all* partials, decode with `m` subtractions. Supports
-//!   pipelined concurrent queries via request-id correlation.
+//!   out, wait for *all* partials, decode with `m` subtractions.
 //! * [`StragglerCluster`] — the straggler-tolerant variant from
 //!   [`scec_coding::straggler`]: responses carry global row tags, the
 //!   user decodes as soon as **any** `m + r` rows arrive, and slow
 //!   devices (simulated with per-device artificial delays) are simply
 //!   left behind.
 //! * [`TPrivateCluster`] — the collusion-resistant `t`-private variant.
-//! * [`SupervisedCluster`] — the fault-tolerant wrapper: per-device
-//!   health tracking, per-query retry with exponential backoff and
-//!   jitter, Freivalds-based Byzantine quarantine, and automatic repair
-//!   (re-allocation over the surviving fleet + share re-install) when a
-//!   device dies or is quarantined.
+//!
+//! [`SupervisedCluster`] is the fault-tolerant layer over the quorum
+//! code: per-device health tracking, per-query retry with exponential
+//! backoff and jitter, Freivalds-based Byzantine quarantine, and
+//! automatic repair (re-allocation over the surviving fleet + share
+//! re-install) when a device dies or is quarantined. The device side of
+//! every one of them — and of `scec-serve`'s TCP server — is
+//! [`device::Device`].
 //!
 //! # Supervisor state machine
 //!
@@ -74,16 +82,15 @@
 
 pub mod clock;
 pub mod cluster;
-mod core;
+pub mod device;
 pub mod error;
 pub mod latency;
 mod mailbox;
 pub mod message;
 pub mod pipeline;
-pub mod straggler_cluster;
+pub mod scheme;
 pub mod supervisor;
 mod telemetry;
-pub mod tprivate_cluster;
 pub mod transport;
 
 use std::time::Duration;
@@ -93,16 +100,16 @@ use std::time::Duration;
 pub const DEFAULT_DEADLINE: Duration = Duration::from_secs(10);
 
 pub use clock::{Clock, RealClock, SimClock};
-pub use cluster::{DeviceBehavior, LocalCluster, QueryStats};
+pub use cluster::{Cluster, LocalCluster, QueryStats, StragglerCluster, TPrivateCluster};
+pub use device::DeviceBehavior;
 pub use error::{Error, Result};
 pub use latency::LatencyLog;
 pub use pipeline::{PanelPipeline, PanelQuery, PanelTicket, PipelinedQuery, QueryPipeline, Ticket};
-pub use straggler_cluster::{QuorumResult, StragglerCluster};
+pub use scheme::{CodeScheme, QuorumResult};
 pub use supervisor::{
     DeviceHealth, DeviceState, SupervisedCluster, SupervisedResult, SupervisedTicket,
     SupervisorConfig, SupervisorEvent,
 };
-pub use tprivate_cluster::TPrivateCluster;
 pub use transport::{ChannelTransport, SimLinkTransport, Transport};
 
 // Telemetry types, re-exported so `with_telemetry` callers need no

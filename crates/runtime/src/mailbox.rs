@@ -3,11 +3,14 @@
 //! Every cluster funnels device responses through one crossbeam channel.
 //! Concurrent queries therefore share the receiver: whichever query
 //! thread pops a response belonging to a *different* request parks it in
-//! a per-request stash, and every thread re-checks the stash each polling
-//! round so nothing is lost. This module owns that loop — previously
-//! copy-pasted across the base, straggler, and `t`-private clusters.
+//! that request's stash, and every thread re-checks its stash each
+//! polling round so nothing is lost. A stash exists from the request's
+//! [`open`](Mailbox::open) to its [`clear`](Mailbox::clear); a response
+//! to a request that is not open — finished, abandoned, or never begun —
+//! has no reader and is dropped on arrival, so a straggler answering
+//! late costs nothing.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
@@ -36,19 +39,26 @@ pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// The shared response channel plus the parked-response stash.
 pub(crate) struct Mailbox<F> {
     responses: Receiver<FromDevice<F>>,
-    /// Responses popped by one query thread on behalf of another. Entries
-    /// for finished queries are cleared on completion; late responses to
-    /// already-answered queries are bounded by the device count and are
-    /// dropped at shutdown.
-    parked: Mutex<HashMap<u64, Vec<FromDevice<F>>>>,
+    /// One stash per open request: the responses popped on its behalf
+    /// by threads collecting other requests. Every begin, finish and
+    /// response looks a request up here, and the open ids are few and
+    /// sequential — an ordered map finds them without hashing.
+    parked: Mutex<BTreeMap<u64, Vec<FromDevice<F>>>>,
 }
 
 impl<F: Scalar> Mailbox<F> {
     pub(crate) fn new(responses: Receiver<FromDevice<F>>) -> Self {
         Mailbox {
             responses,
-            parked: Mutex::new(HashMap::new()),
+            parked: Mutex::new(BTreeMap::new()),
         }
+    }
+
+    /// Opens `request`: from now until [`clear`](Self::clear), responses
+    /// to it that another thread pops are parked for it. Call before the
+    /// request is broadcast.
+    pub(crate) fn open(&self, request: u64) {
+        lock(&self.parked).insert(request, Vec::new());
     }
 
     /// Collects responses for `request` until `absorb` reports progress of
@@ -57,7 +67,7 @@ impl<F: Scalar> Mailbox<F> {
     /// `absorb` is called once per response addressed to `request` and
     /// returns the updated progress count — number of devices heard for
     /// all-response protocols, number of tagged rows for quorum
-    /// protocols. Responses for other requests are parked for their
+    /// protocols. Responses for other open requests are parked for their
     /// owning threads; the stash is re-checked every polling round.
     ///
     /// Responses that have already arrived are drained without
@@ -92,7 +102,11 @@ impl<F: Scalar> Mailbox<F> {
         let deadline = clock.now().saturating_add(timeout);
         let mut progress = 0;
         while progress < needed {
-            if let Some(stash) = lock(&self.parked).remove(&request) {
+            let stash = lock(&self.parked)
+                .get_mut(&request)
+                .map(std::mem::take)
+                .unwrap_or_default();
+            if !stash.is_empty() {
                 for resp in stash {
                     progress = absorb(resp)?;
                 }
@@ -133,26 +147,30 @@ impl<F: Scalar> Mailbox<F> {
             };
             if resp.request() == request {
                 progress = absorb(resp)?;
-            } else {
-                lock(&self.parked)
-                    .entry(resp.request())
-                    .or_default()
-                    .push(resp);
+            } else if let Some(stash) = lock(&self.parked).get_mut(&resp.request()) {
+                stash.push(resp);
             }
         }
         Ok(())
     }
 
-    /// Drops parked responses for a finished request. Late responses to
-    /// this request may be re-parked by sibling threads afterwards; the
-    /// stash stays bounded by the device count per in-flight request.
+    /// Closes `request` and drops what was parked for it; responses to
+    /// it that arrive later are dropped too.
     pub(crate) fn clear(&self, request: u64) {
         lock(&self.parked).remove(&request);
     }
 
-    /// Drops every parked response — used when a repair replaces the
+    /// Closes every open request — used when a repair replaces the
     /// entire device fleet and old responses can no longer be attributed.
     pub(crate) fn clear_all(&self) {
         lock(&self.parked).clear();
+    }
+}
+
+#[cfg(test)]
+impl<F> Mailbox<F> {
+    /// Requests that currently have a stash.
+    pub(crate) fn open_requests(&self) -> Vec<u64> {
+        lock(&self.parked).keys().copied().collect()
     }
 }

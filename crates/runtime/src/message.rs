@@ -189,6 +189,20 @@ impl<F: scec_linalg::Scalar> std::fmt::Debug for FromDevice<F> {
     }
 }
 
+impl<F: scec_linalg::Scalar> ToDevice<F> {
+    /// For a query message, the number of query columns it asks a device
+    /// to compute — 1 for a [`Query`](Self::Query), the panel width for
+    /// a [`QueryBatch`](Self::QueryBatch) — and the trace context it
+    /// carries; `None` for any other message.
+    pub fn as_query(&self) -> Option<(usize, Option<TraceContext>)> {
+        match self {
+            ToDevice::Query { ctx, .. } => Some((1, *ctx)),
+            ToDevice::QueryBatch { xs, ctx, .. } => Some((xs.ncols(), *ctx)),
+            _ => None,
+        }
+    }
+}
+
 impl<F> FromDevice<F> {
     /// The correlation id this response answers.
     pub fn request(&self) -> u64 {

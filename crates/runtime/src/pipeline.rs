@@ -3,9 +3,8 @@
 //!
 //! Every cluster's `query()` is a broadcast followed by a collect — the
 //! user sits idle for a full device round-trip per query. Since the
-//! [`Mailbox`](crate::mailbox) correlates responses by request id and
-//! parks out-of-order arrivals, nothing forces those round-trips to
-//! serialize: broadcast query `i + 1` (and `i + 2`, …) while the devices
+//! cluster's mailbox correlates responses by request id and parks
+//! out-of-order arrivals, nothing forces those round-trips to serialize: broadcast query `i + 1` (and `i + 2`, …) while the devices
 //! are still computing query `i`, then collect the results in submission
 //! order.
 //!
@@ -45,14 +44,11 @@ use std::time::Duration;
 use scec_linalg::{Matrix, Scalar, Vector};
 
 use crate::clock::Clock;
-use crate::cluster::LocalCluster;
 use crate::error::{Error, Result};
-use crate::straggler_cluster::{QuorumResult, StragglerCluster};
 use crate::supervisor::{SupervisedCluster, SupervisedResult, SupervisedTicket};
-use crate::tprivate_cluster::TPrivateCluster;
 
-/// Claim on an in-flight request for the stateless cluster protocols
-/// (local, straggler, `t`-private): the request id to collect on and the
+/// Claim on an in-flight request on a [`Cluster`](crate::Cluster) (any
+/// scheme): the request id to collect on and the
 /// broadcast timestamp (on the cluster's [`Clock`]) for latency
 /// accounting.
 #[derive(Debug)]
@@ -161,72 +157,6 @@ pub trait PipelinedQuery {
     fn clock_now(&self) -> Duration;
 }
 
-impl<F: Scalar> PipelinedQuery for LocalCluster<F> {
-    type Input = Vector<F>;
-    type Output = Vector<F>;
-    type Ticket = Ticket;
-
-    fn begin(&self, input: &Vector<F>) -> Result<Ticket> {
-        self.begin_query_queued(input)
-    }
-
-    fn finish(&self, ticket: Ticket) -> Result<Vector<F>> {
-        self.finish_query(ticket)
-    }
-
-    fn abandon(&self, ticket: Ticket) {
-        self.abandon_query(ticket);
-    }
-
-    fn clock_now(&self) -> Duration {
-        self.clock_handle().now()
-    }
-}
-
-impl<F: Scalar> PipelinedQuery for StragglerCluster<F> {
-    type Input = Vector<F>;
-    type Output = QuorumResult<F>;
-    type Ticket = Ticket;
-
-    fn begin(&self, input: &Vector<F>) -> Result<Ticket> {
-        self.begin_query(input)
-    }
-
-    fn finish(&self, ticket: Ticket) -> Result<QuorumResult<F>> {
-        self.finish_query(ticket)
-    }
-
-    fn abandon(&self, ticket: Ticket) {
-        self.abandon_query(ticket);
-    }
-
-    fn clock_now(&self) -> Duration {
-        self.clock_handle().now()
-    }
-}
-
-impl<F: Scalar> PipelinedQuery for TPrivateCluster<F> {
-    type Input = Vector<F>;
-    type Output = Vector<F>;
-    type Ticket = Ticket;
-
-    fn begin(&self, input: &Vector<F>) -> Result<Ticket> {
-        self.begin_query(input)
-    }
-
-    fn finish(&self, ticket: Ticket) -> Result<Vector<F>> {
-        self.finish_query(ticket)
-    }
-
-    fn abandon(&self, ticket: Ticket) {
-        self.abandon_query(ticket);
-    }
-
-    fn clock_now(&self) -> Duration {
-        self.clock_handle().now()
-    }
-}
-
 impl<F: Scalar> PipelinedQuery for SupervisedCluster<F> {
     type Input = Vector<F>;
     type Output = SupervisedResult<F>;
@@ -284,69 +214,6 @@ pub trait PanelQuery {
 
     /// The current time on the cluster's [`Clock`].
     fn clock_now(&self) -> Duration;
-}
-
-impl<F: Scalar> PanelQuery for LocalCluster<F> {
-    type Elem = F;
-    type PanelTicket = PanelTicket;
-
-    fn begin_panel(&self, xs: &Matrix<F>) -> Result<PanelTicket> {
-        self.begin_panel_queued(xs)
-    }
-
-    fn finish_panel(&self, ticket: PanelTicket) -> Result<Matrix<F>> {
-        self.finish_panel(ticket)
-    }
-
-    fn abandon_panel(&self, ticket: PanelTicket) {
-        self.abandon_panel(ticket);
-    }
-
-    fn clock_now(&self) -> Duration {
-        self.clock_handle().now()
-    }
-}
-
-impl<F: Scalar> PanelQuery for StragglerCluster<F> {
-    type Elem = F;
-    type PanelTicket = PanelTicket;
-
-    fn begin_panel(&self, xs: &Matrix<F>) -> Result<PanelTicket> {
-        self.begin_panel(xs)
-    }
-
-    fn finish_panel(&self, ticket: PanelTicket) -> Result<Matrix<F>> {
-        self.finish_panel(ticket)
-    }
-
-    fn abandon_panel(&self, ticket: PanelTicket) {
-        self.abandon_panel(ticket);
-    }
-
-    fn clock_now(&self) -> Duration {
-        self.clock_handle().now()
-    }
-}
-
-impl<F: Scalar> PanelQuery for TPrivateCluster<F> {
-    type Elem = F;
-    type PanelTicket = PanelTicket;
-
-    fn begin_panel(&self, xs: &Matrix<F>) -> Result<PanelTicket> {
-        self.begin_panel(xs)
-    }
-
-    fn finish_panel(&self, ticket: PanelTicket) -> Result<Matrix<F>> {
-        self.finish_panel(ticket)
-    }
-
-    fn abandon_panel(&self, ticket: PanelTicket) {
-        self.abandon_panel(ticket);
-    }
-
-    fn clock_now(&self) -> Duration {
-        self.clock_handle().now()
-    }
 }
 
 /// The supervised cluster serves panels column by column (see
@@ -807,6 +674,7 @@ impl<C: PanelQuery> Drop for PanelPipeline<'_, C> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{LocalCluster, StragglerCluster};
     use rand::{rngs::StdRng, SeedableRng};
     use scec_allocation::EdgeFleet;
     use scec_core::{AllocationStrategy, ScecSystem};

@@ -43,13 +43,14 @@ use scec_core::IntegrityKey;
 use scec_linalg::{Matrix, Scalar, Vector};
 
 use crate::clock::{default_clock, Clock};
-use crate::cluster::{DeviceBehavior, QueryStats};
-use crate::core::message_bytes;
+use crate::cluster::QueryStats;
+use crate::device::DeviceBehavior;
 use crate::error::{Error, Result};
 use crate::latency::LatencyLog;
 use crate::mailbox::{lock, Mailbox};
 use crate::message::{FromDevice, ToDevice};
-use crate::transport::{ChannelTransport, DeviceSpec, Transport};
+use crate::telemetry::{message_bytes, predicted_per_query, predicted_per_window};
+use crate::transport::{ChannelTransport, Transport};
 
 /// Drift factors below the band are flattened to 1.0 before they reach
 /// the adaptive allocator: factors are measured against the fastest
@@ -696,32 +697,15 @@ impl<F: Scalar> SupervisedCluster<F> {
                 let phys = topo.physical[idx];
                 let rows = topo.checks[idx].rows.len() as u64;
                 s.tel.costs.record_stored(phys, rows);
-                s.tel.costs.set_predicted(
-                    phys,
-                    roster[phys - 1].unit_cost,
-                    scec_telemetry::CostVector {
-                        stored_rows: rows,
-                        rows_served: rows,
-                        bytes_sent: l * esize,
-                        // A tagged row ships the value plus its u64 tag.
-                        bytes_received: rows * (esize + 8),
-                        field_mults: rows * l,
-                        field_adds: rows * l.saturating_sub(1),
-                    },
-                );
+                // A tagged row ships the value plus its u64 tag.
+                let per_query = predicted_per_query(rows, l, esize, 8);
+                s.tel
+                    .costs
+                    .set_predicted(phys, roster[phys - 1].unit_cost, per_query);
                 // Message framing is paid once per window (a plain query
                 // is a width-1 window), not per query.
-                s.tel.costs.set_predicted_window(
-                    phys,
-                    scec_telemetry::CostVector {
-                        stored_rows: 0,
-                        rows_served: 0,
-                        bytes_sent: scec_telemetry::MESSAGE_OVERHEAD_BYTES,
-                        bytes_received: scec_telemetry::MESSAGE_OVERHEAD_BYTES,
-                        field_mults: 0,
-                        field_adds: 0,
-                    },
-                );
+                let framing = predicted_per_window(scec_telemetry::MESSAGE_OVERHEAD_BYTES);
+                s.tel.costs.set_predicted_window(phys, framing);
             }
         });
     }
@@ -888,21 +872,16 @@ impl<F: Scalar> SupervisedCluster<F> {
         let mut specs = Vec::with_capacity(code.device_count());
         let mut checks = Vec::with_capacity(code.device_count());
         for (idx, share) in store.shares().iter().enumerate() {
-            let logical = share.device();
-            let phys = enrolled[idx];
-            let behavior = roster[phys - 1].behavior;
-            specs.push(DeviceSpec {
-                device: logical,
-                thread_name: format!("scec-supervised-device-{phys}"),
-                behavior,
-                install: Some(ToDevice::InstallTagged(Box::new(share.clone()))),
-            });
+            specs.push((share.device(), roster[enrolled[idx] - 1].behavior));
             checks.push(DeviceCheck {
                 key: IntegrityKey::generate(share.coded(), rng)?,
                 rows: share.rows().to_vec(),
             });
         }
-        let transport = ChannelTransport::spawn_onto(specs, clock, resp_tx)?;
+        let transport = ChannelTransport::spawn_onto(specs, clock, resp_tx);
+        for (idx, share) in store.shares().iter().enumerate() {
+            transport.send(idx, ToDevice::InstallTagged(Box::new(share.clone())))?;
+        }
         for &phys in &enrolled {
             roster[phys - 1].consecutive_misses = 0;
         }
@@ -1133,6 +1112,7 @@ impl<F: Scalar> SupervisedCluster<F> {
         x: &Vector<F>,
     ) -> std::result::Result<u64, AttemptError> {
         let request = self.next_request.fetch_add(1, Ordering::Relaxed);
+        self.mailbox.open(request);
         let dispatch_started = self.tel.now(&self.clock);
         let trace = crate::telemetry::dispatch_trace(self.trace_tenant, request, topo.generation);
         let ctx = trace.map(|(_, ctx)| ctx);

@@ -14,9 +14,48 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use scec_telemetry::context::{self, SpanIds};
-use scec_telemetry::{Counter, Gauge, Histogram, Stage, Telemetry, TraceContext};
+use scec_telemetry::{CostVector, Counter, Gauge, Histogram, Stage, Telemetry, TraceContext};
 
 use crate::clock::Clock;
+
+/// Analytic message cost for one protocol message of `payload` bytes —
+/// zero when the transport meters actual wire bytes (the observed
+/// ledger then reports measured traffic, not the model's estimate).
+pub(crate) fn message_bytes(counts_wire: bool, payload: u64) -> u64 {
+    if counts_wire {
+        0
+    } else {
+        payload + scec_telemetry::MESSAGE_OVERHEAD_BYTES
+    }
+}
+
+/// The Eq.-(1) usage one query costs a device that holds `rows` coded
+/// rows of width `l`: the query in, `rows` values (each `esize` bytes,
+/// plus `tag_bytes` when answers carry row tags) out, `rows` inner
+/// products.
+pub(crate) fn predicted_per_query(rows: u64, l: u64, esize: u64, tag_bytes: u64) -> CostVector {
+    CostVector {
+        stored_rows: rows,
+        rows_served: rows,
+        bytes_sent: l * esize,
+        bytes_received: rows * (esize + tag_bytes),
+        field_mults: rows * l,
+        field_adds: rows * l.saturating_sub(1),
+    }
+}
+
+/// What one window — one broadcast and one reply, however many queries
+/// ride in it — costs a device: `bytes` of message framing each way.
+pub(crate) fn predicted_per_window(bytes: u64) -> CostVector {
+    CostVector {
+        stored_rows: 0,
+        rows_served: 0,
+        bytes_sent: bytes,
+        bytes_received: bytes,
+        field_mults: 0,
+        field_adds: 0,
+    }
+}
 
 /// Dispatch-span ids plus the wire context the resulting device spans
 /// stitch under, for a cluster tracing `tenant`. `None` when tracing is
@@ -108,16 +147,10 @@ impl ClusterSink {
         self.failures.inc();
     }
 
-    /// Records a span from `start` to `end` on this cluster's trace.
-    pub(crate) fn span(&self, start: Duration, end: Duration, stage: Stage, request: u64) {
-        self.tel
-            .tracer
-            .span(start, end.saturating_sub(start), stage, Some(request), None);
-    }
-
-    /// Like [`span`](Self::span), carrying trace/span ids so the span
-    /// joins a cross-process query tree. Falls back to an id-less span
-    /// when `ids` is `None`, so call sites stay branch-free.
+    /// Records a span from `start` to `end` on this cluster's trace,
+    /// carrying trace/span ids so the span joins a cross-process query
+    /// tree — or id-less when `ids` is `None`, so call sites stay
+    /// branch-free.
     pub(crate) fn span_ids(
         &self,
         start: Duration,
@@ -126,16 +159,10 @@ impl ClusterSink {
         request: u64,
         ids: Option<SpanIds>,
     ) {
+        let (tracer, dur) = (&self.tel.tracer, end.saturating_sub(start));
         match ids {
-            Some(ids) => self.tel.tracer.span_ctx(
-                start,
-                end.saturating_sub(start),
-                stage,
-                Some(request),
-                None,
-                ids,
-            ),
-            None => self.span(start, end, stage, request),
+            Some(ids) => tracer.span_ctx(start, dur, stage, Some(request), None, ids),
+            None => tracer.span(start, dur, stage, Some(request), None),
         }
     }
 

@@ -19,8 +19,8 @@
 //!   [`frames`] codecs.
 //!
 //! The receive side stays a crossbeam [`Receiver`] feeding the cluster
-//! [`Mailbox`](crate::mailbox::Mailbox), whatever the backend: remote
-//! transports pump their sockets into the channel from reader threads.
+//! mailbox, whatever the backend: remote transports pump their sockets
+//! into the channel from reader threads.
 
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -32,7 +32,7 @@ use scec_linalg::Scalar;
 use scec_wire::{WireDecode, WireEncode};
 
 use crate::clock::Clock;
-use crate::cluster::{device_main, DeviceBehavior, DeviceHandle};
+use crate::device::{device_main, DeviceBehavior};
 use crate::error::{Error, Result};
 use crate::message::{FromDevice, ToDevice};
 
@@ -91,17 +91,11 @@ pub trait Transport<F: Scalar>: Send + Sync {
     fn shutdown(&mut self);
 }
 
-/// Everything needed to enroll one in-process device actor.
-pub(crate) struct DeviceSpec<F: Scalar> {
-    /// Protocol (1-based) device id, echoed in responses.
-    pub(crate) device: usize,
-    /// OS thread name (shows up in debuggers and panics).
-    pub(crate) thread_name: String,
-    /// Fault-injection behavior.
-    pub(crate) behavior: DeviceBehavior,
-    /// Share to install right after spawn; `None` when the caller
-    /// installs later through the (possibly wrapped) transport.
-    pub(crate) install: Option<ToDevice<F>>,
+/// Handle to one spawned device actor.
+struct DeviceHandle<F> {
+    device: usize,
+    tx: Sender<ToDevice<F>>,
+    join: Option<JoinHandle<()>>,
 }
 
 /// The in-process backend: one spawned actor thread per device, plain
@@ -111,48 +105,41 @@ pub struct ChannelTransport<F> {
 }
 
 impl<F: Scalar> ChannelTransport<F> {
-    /// Spawns the actors onto an existing response channel — the
-    /// supervisor repair path, which keeps one mailbox across topology
-    /// generations.
+    /// Spawns one bare actor per `(protocol device id, behavior)` — the
+    /// caller installs shares through the transport — onto an existing
+    /// response channel: the supervisor repair path, which keeps one
+    /// mailbox across topology generations.
     pub(crate) fn spawn_onto(
-        specs: Vec<DeviceSpec<F>>,
+        specs: Vec<(usize, DeviceBehavior)>,
         clock: &Arc<dyn Clock>,
         resp_tx: &Sender<FromDevice<F>>,
-    ) -> Result<Self> {
+    ) -> Self {
         let mut devices = Vec::with_capacity(specs.len());
-        for spec in specs {
+        for (device, behavior) in specs {
             let (tx, rx) = unbounded();
             let outbox = resp_tx.clone();
-            let device = spec.device;
-            let behavior = spec.behavior;
             let device_clock = Arc::clone(clock);
             let join = std::thread::Builder::new()
-                .name(spec.thread_name)
+                .name(format!("scec-device-{device}"))
                 .spawn(move || device_main::<F>(device, rx, outbox, behavior, device_clock))
                 .expect("spawn device thread");
-            if let Some(install) = spec.install {
-                tx.send(install).map_err(|_| Error::ChannelClosed {
-                    device: Some(device),
-                })?;
-            }
             devices.push(DeviceHandle {
                 device,
                 tx,
                 join: Some(join),
             });
         }
-        Ok(ChannelTransport { devices })
+        ChannelTransport { devices }
     }
 
     /// Spawns the actors with a fresh response channel and returns the
     /// receive side for the cluster mailbox.
     pub(crate) fn spawn(
-        specs: Vec<DeviceSpec<F>>,
+        specs: Vec<(usize, DeviceBehavior)>,
         clock: &Arc<dyn Clock>,
-    ) -> Result<(Self, Receiver<FromDevice<F>>)> {
+    ) -> (Self, Receiver<FromDevice<F>>) {
         let (resp_tx, resp_rx) = unbounded();
-        let transport = Self::spawn_onto(specs, clock, &resp_tx)?;
-        Ok((transport, resp_rx))
+        (Self::spawn_onto(specs, clock, &resp_tx), resp_rx)
     }
 }
 
@@ -173,8 +160,9 @@ impl<F: Scalar> Transport<F> for ChannelTransport<F> {
     }
 
     fn shutdown(&mut self) {
-        for dev in &mut self.devices {
-            dev.shutdown();
+        for dev in &self.devices {
+            // A send failure just means the thread is already gone.
+            let _ = dev.tx.send(ToDevice::Shutdown);
         }
         for dev in &mut self.devices {
             if let Some(join) = dev.join.take() {

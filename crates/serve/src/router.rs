@@ -13,10 +13,11 @@
 //! concurrency.
 //!
 //! After each tenant drains, the measured per-device wire bytes from
-//! its [`WireMeter`] are reconciled into its [`CostAccountant`] ledger
-//! — the TCP transport reports `counts_wire_bytes()`, which zeroes the
-//! analytic byte columns, so the final report reads *MCSCEC-predicted*
-//! bytes against *actually shipped* bytes, per tenant and per device.
+//! its [`WireMeter`] are reconciled into its
+//! [`CostAccountant`](scec_telemetry::CostAccountant) ledger — the TCP
+//! transport reports `counts_wire_bytes()`, which zeroes the analytic
+//! byte columns, so the final report reads *MCSCEC-predicted* bytes
+//! against *actually shipped* bytes, per tenant and per device.
 
 use std::collections::VecDeque;
 use std::fmt::Write as _;

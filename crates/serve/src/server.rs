@@ -23,12 +23,13 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use scec_coding::{DeviceShare, HelloMsg, StragglerShare};
+use scec_coding::HelloMsg;
 use scec_linalg::Scalar;
-use scec_runtime::message::{FromDevice, ToDevice};
+use scec_runtime::device::Device;
+use scec_runtime::message::FromDevice;
 use scec_runtime::transport::frames;
 use scec_runtime::{Clock, RealClock};
-use scec_telemetry::{context, SpanIds, Stage, Telemetry, TraceContext};
+use scec_telemetry::{Telemetry, TraceContext};
 use scec_wire::stream::{
     begin_frame, end_frame, read_frame, write_frame, FrameReader, DEFAULT_MAX_FRAME,
 };
@@ -291,9 +292,9 @@ fn read_hello(stream: &mut TcpStream, max_frame: usize) -> Result<HelloMsg> {
     Ok(decode_framed::<HelloMsg>(&frame, tag::HELLO)?)
 }
 
-/// The post-handshake serve loop. The share installed on this
-/// connection lives here, on the handler's stack — the sharding unit is
-/// the connection itself.
+/// The post-handshake serve loop. The [`Device`] holding the share
+/// installed on this connection lives here, on the handler's stack — the
+/// sharding unit is the connection itself.
 ///
 /// Responses accumulate in one out-buffer and leave in a single write
 /// when no further complete request is buffered, or once
@@ -317,8 +318,9 @@ fn serve_device<F, S>(
     // the requests still buffered are skipped — all but a BYE, which
     // still makes the close a clean one.
     let mut peer_reads = true;
-    let mut share: Option<DeviceShare<F>> = None;
-    let mut tagged: Option<StragglerShare<F>> = None;
+    // The same device the in-process actors run: share × query →
+    // response, compute span under the query's trace context.
+    let mut served = Device::<F>::new(device, Arc::clone(clock), tel.clone());
     // Per-tenant served-query counter, resolved once per connection so
     // the serve loop never touches the registry lock.
     let queries_counter = tel.as_ref().map(|t| {
@@ -348,81 +350,22 @@ fn serve_device<F, S>(
         // response frame so both directions price identically.
         let mut qctx: Option<TraceContext> = None;
         let response = match frames::decode_to_device::<F>(frame) {
-            Ok(ToDevice::Install(s)) => {
-                share = Some(*s);
-                continue;
-            }
-            Ok(ToDevice::InstallTagged(s)) => {
-                tagged = Some(*s);
-                continue;
-            }
-            Ok(ToDevice::Query { request, x, ctx }) => {
-                stats.queries_served.fetch_add(1, Ordering::AcqRel);
-                if let Some(c) = &queries_counter {
-                    c.inc();
+            Ok(msg) => {
+                if let Some((width, ctx)) = msg.as_query() {
+                    stats
+                        .queries_served
+                        .fetch_add(width as u64, Ordering::AcqRel);
+                    if let Some(c) = &queries_counter {
+                        c.add(width as u64);
+                    }
+                    qctx = ctx;
                 }
-                qctx = ctx;
-                let started = span_start(tel, clock);
-                let resp = if let Some(s) = &tagged {
-                    match s.compute(&x) {
-                        Ok(responses) => FromDevice::TaggedPartial {
-                            request,
-                            device,
-                            responses,
-                        },
-                        Err(e) => failure(request, device, &e),
-                    }
-                } else if let Some(s) = &share {
-                    match s.compute(&x) {
-                        Ok(values) => FromDevice::Partial {
-                            request,
-                            device,
-                            values,
-                        },
-                        Err(e) => failure(request, device, &e),
-                    }
-                } else {
-                    no_share(request, device)
+                // An install is not answered.
+                let Some(response) = served.handle(msg) else {
+                    continue;
                 };
-                device_span(tel, clock, started, request, device, qctx);
-                resp
+                response
             }
-            Ok(ToDevice::QueryBatch { request, xs, ctx }) => {
-                stats
-                    .queries_served
-                    .fetch_add(xs.ncols() as u64, Ordering::AcqRel);
-                if let Some(c) = &queries_counter {
-                    c.add(xs.ncols() as u64);
-                }
-                qctx = ctx;
-                let started = span_start(tel, clock);
-                let resp = if let Some(s) = &tagged {
-                    match s.compute_panel(&xs) {
-                        Ok(values) => FromDevice::TaggedBatch {
-                            request,
-                            device,
-                            rows: s.rows().to_vec(),
-                            values,
-                        },
-                        Err(e) => failure(request, device, &e),
-                    }
-                } else if let Some(s) = &share {
-                    match s.coded().matmul(&xs) {
-                        Ok(values) => FromDevice::BatchPartial {
-                            request,
-                            device,
-                            values,
-                        },
-                        Err(e) => failure(request, device, &e),
-                    }
-                } else {
-                    no_share(request, device)
-                };
-                device_span(tel, clock, started, request, device, qctx);
-                resp
-            }
-            // `decode_to_device` never yields control-plane messages.
-            Ok(_) => return,
             Err(e) => {
                 // A malformed frame gets a typed refusal; the request id
                 // is unknown, so 0 marks it connection-level.
@@ -441,68 +384,6 @@ fn serve_device<F, S>(
     }
 }
 
-/// Timestamp for a compute span — skips the clock read entirely when
-/// the server is uninstrumented.
-fn span_start(tel: &Option<Arc<Telemetry>>, clock: &Arc<dyn Clock>) -> Duration {
-    if tel.is_some() {
-        clock.now()
-    } else {
-        Duration::ZERO
-    }
-}
-
-/// Records the server-side compute span for one served query. A sampled
-/// wire context mints the same deterministic span id scheme the
-/// in-process runtime uses, parented onto the sender's dispatch span.
-fn device_span(
-    tel: &Option<Arc<Telemetry>>,
-    clock: &Arc<dyn Clock>,
-    start: Duration,
-    request: u64,
-    device: usize,
-    ctx: Option<TraceContext>,
-) {
-    let Some(t) = tel else { return };
-    let dur = clock.now().saturating_sub(start);
-    match ctx {
-        Some(ctx) if ctx.sampled => t.tracer.span_ctx(
-            start,
-            dur,
-            Stage::DeviceCompute,
-            Some(request),
-            Some(device),
-            SpanIds {
-                trace: ctx.trace_id,
-                span: context::span_id(ctx.trace_id, context::kind::DEVICE_COMPUTE, device as u64),
-                parent: ctx.parent_span_id,
-            },
-        ),
-        _ => t.tracer.span(
-            start,
-            dur,
-            Stage::DeviceCompute,
-            Some(request),
-            Some(device),
-        ),
-    }
-}
-
-fn failure<F: Scalar>(request: u64, device: usize, e: &dyn std::fmt::Display) -> FromDevice<F> {
-    FromDevice::Failure {
-        request,
-        device,
-        reason: e.to_string(),
-    }
-}
-
-fn no_share<F: Scalar>(request: u64, device: usize) -> FromDevice<F> {
-    FromDevice::Failure {
-        request,
-        device,
-        reason: "no share installed".into(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use std::io;
@@ -510,8 +391,10 @@ mod tests {
     use rand::{rngs::StdRng, SeedableRng};
 
     use scec_allocation::EdgeFleet;
+    use scec_coding::DeviceShare;
     use scec_core::{AllocationStrategy, ScecSystem};
     use scec_linalg::{Fp61, Matrix, Vector};
+    use scec_runtime::message::ToDevice;
 
     use super::*;
     use crate::TcpTransport;

@@ -240,7 +240,15 @@ where
             while let Ok(frame) = reader.next_frame(&mut stream) {
                 meter.add_received(index, (LEN_PREFIX_BYTES + frame.len()) as u64);
                 let resp = match frames::decode_response::<F>(frame) {
-                    Ok(resp) => resp,
+                    Ok(resp) if resp.device() == device => resp,
+                    // The connection is the identity: a frame naming
+                    // another device is this device's failure, not that
+                    // device's answer.
+                    Ok(resp) => FromDevice::Failure {
+                        request: resp.request(),
+                        device,
+                        reason: format!("response signed as device {}", resp.device()),
+                    },
                     // Corrupt response frame: surface as a device
                     // failure so the cluster's quorum logic sees it.
                     Err(e) => FromDevice::Failure {
@@ -334,4 +342,58 @@ fn bye_frame(buf: &mut Vec<u8>) {
     buf.extend_from_slice(&scec_wire::MAGIC);
     buf.extend_from_slice(&scec_wire::VERSION.to_le_bytes());
     buf.extend_from_slice(&tag::BYE.to_le_bytes());
+}
+
+#[cfg(test)]
+mod tests {
+    use std::net::TcpListener;
+    use std::sync::Arc;
+    use std::time::Duration;
+
+    use scec_linalg::{Fp61, Vector};
+
+    use super::*;
+
+    #[test]
+    fn a_response_naming_another_device_is_the_connections_own_failure() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("bound address");
+        // Device 1's peer: admits the HELLO, then answers the query with
+        // a well-formed partial signed as device 2.
+        let peer = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().expect("accept");
+            let mut frame = Vec::new();
+            read_frame(&mut stream, &mut frame, DEFAULT_MAX_FRAME).expect("hello");
+            write_frame(&mut stream, &frame).expect("ack");
+            read_frame(&mut stream, &mut frame, DEFAULT_MAX_FRAME).expect("query");
+            let forged = FromDevice::Partial {
+                request: 7,
+                device: 2,
+                values: Vector::<Fp61>::zeros(1),
+            };
+            frames::encode_response(&forged, &mut frame);
+            write_frame(&mut stream, &frame).expect("response");
+            // Hold the connection open until the client says BYE.
+            let _ = read_frame(&mut stream, &mut frame, DEFAULT_MAX_FRAME);
+        });
+        let (mut transport, responses, _meter) =
+            TcpTransport::<Fp61>::connect(addr, 0, &[1]).expect("connect");
+        let query = ToDevice::Query {
+            request: 7,
+            x: Arc::new(Vector::zeros(1)),
+            ctx: None,
+        };
+        transport.send(0, query).expect("send");
+        transport.flush().expect("flush");
+        match responses.recv_timeout(Duration::from_secs(30)) {
+            Ok(FromDevice::Failure {
+                request: 7,
+                device: 1,
+                reason,
+            }) => assert!(reason.contains("device 2"), "{reason}"),
+            other => panic!("expected device 1's failure, got {other:?}"),
+        }
+        transport.shutdown();
+        peer.join().expect("peer");
+    }
 }
