@@ -80,6 +80,26 @@ impl<F: Scalar> IntegrityKey<F> {
         self.u.len()
     }
 
+    /// Checks a query of `x_len` entries and a result of `y_len` against
+    /// the key's shape.
+    fn check_shapes(&self, x_len: usize, y_len: usize) -> Result<()> {
+        if y_len != self.u.len() {
+            return Err(Error::Coding(scec_coding::Error::PayloadShape {
+                what: "result vector vs integrity key",
+                expected: (self.u.len(), 1),
+                got: (y_len, 1),
+            }));
+        }
+        if x_len != self.ut_a.len() {
+            return Err(Error::Coding(scec_coding::Error::PayloadShape {
+                what: "query vector vs integrity key",
+                expected: (self.ut_a.len(), 1),
+                got: (x_len, 1),
+            }));
+        }
+        Ok(())
+    }
+
     /// The residual `uᵀ·y − (uᵀA)·x`; zero (within field exactness) for a
     /// correct result.
     ///
@@ -87,20 +107,7 @@ impl<F: Scalar> IntegrityKey<F> {
     ///
     /// Returns [`Error::Coding`] for shape mismatches.
     pub fn residual(&self, x: &Vector<F>, y: &Vector<F>) -> Result<F> {
-        if y.len() != self.u.len() {
-            return Err(Error::Coding(scec_coding::Error::PayloadShape {
-                what: "result vector vs integrity key",
-                expected: (self.u.len(), 1),
-                got: (y.len(), 1),
-            }));
-        }
-        if x.len() != self.ut_a.len() {
-            return Err(Error::Coding(scec_coding::Error::PayloadShape {
-                what: "query vector vs integrity key",
-                expected: (self.ut_a.len(), 1),
-                got: (x.len(), 1),
-            }));
-        }
+        self.check_shapes(x.len(), y.len())?;
         let lhs = self.u.dot(y).map_err(scec_coding::Error::from)?;
         let rhs = self.ut_a.dot(x).map_err(scec_coding::Error::from)?;
         Ok(lhs.sub(rhs))
@@ -113,6 +120,27 @@ impl<F: Scalar> IntegrityKey<F> {
     /// Returns [`Error::Coding`] for shape mismatches.
     pub fn verify(&self, x: &Vector<F>, y: &Vector<F>) -> Result<bool> {
         Ok(self.residual(x, y)?.is_zero())
+    }
+
+    /// [`verify`](Self::verify) for a result that is not laid out as a
+    /// [`Vector`] — row-tagged responses, say: `y` yields the entries in
+    /// row order, and the residual is taken over them where they sit.
+    /// The same test against the same `u`, with the same acceptance
+    /// rule.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::Coding`] for shape mismatches.
+    pub fn verify_values(
+        &self,
+        x: &Vector<F>,
+        y: impl ExactSizeIterator<Item = F>,
+    ) -> Result<bool> {
+        self.check_shapes(x.len(), y.len())?;
+        let weigh = |acc: F, (&u, y): (&F, F)| acc.add(u.mul(y));
+        let lhs = self.u.as_slice().iter().zip(y).fold(F::zero(), weigh);
+        let rhs = self.ut_a.dot(x).map_err(scec_coding::Error::from)?;
+        Ok(lhs.sub(rhs).is_zero())
     }
 
     /// Batched residuals for a query panel: entry `j` is

@@ -8,7 +8,10 @@
 //! every message is encoded to `scec-wire` bytes and decoded back
 //! before delivery. Both runs start from identically seeded RNGs, so
 //! the coded shares, device behaviors, and query vectors are the same;
-//! the only difference is the transport. Each operation yields an
+//! the only difference is the transport. The workload is sequential
+//! queries, one panel, then a pipelined window of queries, so the
+//! backends are also compared with several queries to a hand-off. Each
+//! operation yields an
 //! *oracle verdict*: `ok`/`mismatch` against the ground-truth `A·x`
 //! (tagged with a hash of the decoded values, so "identical verdict"
 //! means bit-identical results, not just matching outcomes), or the
@@ -24,7 +27,7 @@ use rand::{rngs::StdRng, SeedableRng};
 use scec_allocation::EdgeFleet;
 use scec_core::{AllocationStrategy, ScecSystem};
 use scec_linalg::{Fp61, Matrix, Vector};
-use scec_runtime::{Clock, DeviceBehavior, LocalCluster, RealClock};
+use scec_runtime::{Clock, DeviceBehavior, LocalCluster, QueryPipeline, RealClock};
 use scec_sim::adversary::ChaosPlan;
 use scec_sim::{ChaosFault, CostDistribution};
 
@@ -42,9 +45,12 @@ pub struct ParityConfig {
     pub unit_costs: Vec<f64>,
     /// Behavior per deployed device (padded with honest).
     pub behaviors: Vec<DeviceBehavior>,
-    /// Single queries driven through each backend.
+    /// Single queries driven through each backend, first one by one and
+    /// then again (fresh vectors) through a [`QueryPipeline`].
     pub queries: usize,
-    /// Columns of the one batched panel driven at the end.
+    /// Columns of the one batched panel, and — at least 2 — the window
+    /// of the pipelined segment, where queries reach a device several to
+    /// a hand-off.
     pub panel_width: usize,
     /// Per-query deadline; `None` keeps the cluster default.
     pub timeout: Option<Duration>,
@@ -201,7 +207,7 @@ fn run_backend(
         cluster.set_timeout(timeout);
     }
     let mut qrng = StdRng::seed_from_u64(seed ^ 0x71_7565_7279); // "query"
-    let mut verdicts = Vec::with_capacity(config.queries + 1);
+    let mut verdicts = Vec::with_capacity(2 * config.queries + 1);
     for _ in 0..config.queries {
         let x = Vector::<Fp61>::random(config.cols, &mut qrng);
         let expected = a.matvec(&x).map_err(scec_coding::Error::from)?;
@@ -226,6 +232,20 @@ fn run_backend(
         }
         Err(e) => format!("panel-{}", verdict_name(&e)),
     });
+    let stream: Vec<Vector<Fp61>> = (0..config.queries)
+        .map(|_| Vector::random(config.cols, &mut qrng))
+        .collect();
+    match QueryPipeline::run(&cluster, config.panel_width.max(2), &stream) {
+        Ok(ys) => {
+            for (x, y) in stream.iter().zip(&ys) {
+                let expected = a.matvec(x).map_err(scec_coding::Error::from)?;
+                let tag = if *y == expected { "ok" } else { "mismatch" };
+                let hash = hash_values(y.as_slice().iter().copied());
+                verdicts.push(format!("window-{tag}[{hash:016x}]"));
+            }
+        }
+        Err(e) => verdicts.push(format!("window-{}", verdict_name(&e))),
+    }
     cluster.shutdown();
     Ok(verdicts)
 }
@@ -286,7 +306,9 @@ mod tests {
                 report
                     .channel
                     .iter()
-                    .all(|v| v.starts_with("ok") || v.starts_with("panel-ok")),
+                    .all(|v| ["ok", "panel-ok", "window-ok"]
+                        .iter()
+                        .any(|ok| v.starts_with(ok))),
                 "{}",
                 report.render()
             );

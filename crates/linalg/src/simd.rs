@@ -84,7 +84,13 @@ const DOT4_MIN: [usize; 2] = [24, 64];
 /// `inproc_supervised_quorum` shape (m = 48, one mat-vec per query per
 /// device) with `l` varied, 512-bit against 256-bit `throughput_qps` won
 /// 1 of 10 alternated pairs at l = 96 (−9 % in the median), 1 of 6 at
-/// 192, 3 of 6 at 384 and 5 of 6 at 768.
+/// 192, 3 of 6 at 384 and 5 of 6 at 768. Re-measured at l = 96 once the
+/// in-process hand-off carried batches (PR 15: a device now runs a
+/// window's mat-vecs back to back, though a lone `query()` is still
+/// wedged between hops): 512-bit won 8 of 10 alternated pairs (median
+/// 97.7 k → 105.5 k qps, +8 %, on a host whose runs of one build spread
+/// 78–118 k) — no longer a loss, but short of the 9 of 10 this constant
+/// moves on, so it stays.
 const DOT_MIN: [usize; 2] = [24, 512];
 
 /// Bench/test override: when `true`, [`active`] reports `false` and every

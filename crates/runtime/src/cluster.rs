@@ -12,7 +12,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use crossbeam::channel::Receiver;
 use rand::Rng;
 
 use scec_coding::{decode, CodeDesign, DeviceShare, StragglerCode, TPrivateCode, TPrivateShare};
@@ -30,7 +29,7 @@ use crate::message::{FromDevice, ToDevice};
 use crate::pipeline::{PanelQuery, PanelTicket, PipelinedQuery, Ticket};
 use crate::scheme::CodeScheme;
 use crate::telemetry::{message_bytes, predicted_per_query, predicted_per_window, Sink};
-use crate::transport::{ChannelTransport, SimLinkTransport, Transport};
+use crate::transport::{ChannelTransport, Responses, SimLinkTransport, Transport};
 
 /// Latency and fault statistics over the queries a cluster has served.
 ///
@@ -64,9 +63,10 @@ pub struct QueryStats {
     pub reallocations: usize,
 }
 
-/// The send side of a fleet plus the stream its responses arrive on —
-/// what [`LocalCluster::launch_with_transport`]'s `connect` returns.
-pub type Link<F> = (Box<dyn Transport<F>>, Receiver<FromDevice<F>>);
+/// The send side of a fleet plus the stream its responses arrive on, a
+/// batch per message — what [`LocalCluster::launch_with_transport`]'s
+/// `connect` returns.
+pub type Link<F> = (Box<dyn Transport<F>>, Responses<F>);
 
 /// One enrolled device, at its roster position.
 struct Enrolled {
@@ -486,7 +486,7 @@ impl<F: Scalar, S: CodeScheme<F>> Cluster<F, S> {
         shares: &[S::Share],
         behaviors: &[DeviceBehavior],
         clock: &Arc<dyn Clock>,
-    ) -> (ChannelTransport<F>, Receiver<FromDevice<F>>) {
+    ) -> (ChannelTransport<F>, Responses<F>) {
         let devices = shares
             .iter()
             .enumerate()
@@ -1234,11 +1234,12 @@ mod tests {
 
     /// A transport that runs honest [`Device`]s inside `send` and lets a
     /// script decide what each genuine answer turns into on the response
-    /// stream — nothing, itself, itself twice, itself under another id.
+    /// stream — nothing, itself, itself twice, itself under another id —
+    /// as one batch.
     struct Scripted {
         devices: Vec<Mutex<Device<Fp61>>>,
         ids: Vec<usize>,
-        responses: Sender<FromDevice<Fp61>>,
+        responses: Sender<Vec<FromDevice<Fp61>>>,
         script: fn(FromDevice<Fp61>) -> Vec<FromDevice<Fp61>>,
     }
 
@@ -1276,9 +1277,7 @@ mod tests {
 
         fn send(&self, index: usize, msg: ToDevice<Fp61>) -> Result<()> {
             if let Some(answer) = lock(&self.devices[index]).handle(msg) {
-                for delivered in (self.script)(answer) {
-                    self.responses.send(delivered).unwrap();
-                }
+                self.responses.send((self.script)(answer)).unwrap();
             }
             Ok(())
         }

@@ -3,9 +3,10 @@
 //! runs it.
 //!
 //! [`Device`] is the one place "share × query → response" is written.
-//! The actor thread here calls it for vector and panel queries alike,
-//! and `scec_serve`'s connection handler calls it for every frame it
-//! decodes, so the in-process and the networked device cannot drift.
+//! The actor thread here calls it for vector and panel queries alike —
+//! once per message of the batch its inbox hands it — and `scec_serve`'s
+//! connection handler calls it for every frame it decodes, so the
+//! in-process and the networked device cannot drift.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -206,7 +207,7 @@ impl<F: Scalar> Device<F> {
 const NO_SHARE: &str = "no share installed";
 
 /// The Byzantine fault: perturbs the first value of an answer.
-fn corrupt<F: Scalar>(response: &mut FromDevice<F>) {
+pub(crate) fn corrupt<F: Scalar>(response: &mut FromDevice<F>) {
     match response {
         FromDevice::Partial { values, .. } => {
             if let Some(first) = values.as_mut_slice().first_mut() {
@@ -228,12 +229,25 @@ fn corrupt<F: Scalar>(response: &mut FromDevice<F>) {
     }
 }
 
+/// Hands the cluster `answers` as one channel message, if there are any;
+/// `false` once the cluster is gone.
+fn hand_over<F>(outbox: &Sender<Vec<FromDevice<F>>>, answers: &mut Vec<FromDevice<F>>) -> bool {
+    answers.is_empty() || outbox.send(std::mem::take(answers)).is_ok()
+}
+
 /// One device actor's thread body: serves its inbox until shutdown,
 /// applying `behavior` around an honest [`Device`].
+///
+/// The inbox delivers batches and a batch is answered with one batch —
+/// one wake-up of the collecting thread per window — but `behavior`
+/// keeps its meaning per *query*: a crash countdown, an omission, a
+/// drop draw, a delay and a corruption each apply to single queries, in
+/// arrival order, and the answers computed so far leave before the
+/// actor sleeps or exits.
 pub(crate) fn device_main<F: Scalar>(
     device: usize,
-    inbox: Receiver<ToDevice<F>>,
-    outbox: Sender<FromDevice<F>>,
+    inbox: Receiver<Vec<ToDevice<F>>>,
+    outbox: Sender<Vec<FromDevice<F>>>,
     behavior: DeviceBehavior,
     clock: Arc<dyn Clock>,
 ) {
@@ -242,33 +256,182 @@ pub(crate) fn device_main<F: Scalar>(
     // per-device stream for FlakyDrop draws.
     let mut served: u64 = 0;
     let mut fault_rng = StdRng::seed_from_u64(0xFA01_7000 ^ ((device as u64) << 32));
-    while let Ok(msg) = inbox.recv() {
-        if matches!(msg, ToDevice::Shutdown) {
-            return;
-        }
-        if msg.as_query().is_some() {
-            served += 1;
-            match behavior {
-                DeviceBehavior::Crash { after_queries } if served > u64::from(after_queries) => {
-                    return; // crash: the thread is gone, later sends fail
+    while let Ok(batch) = inbox.recv() {
+        let mut answers = Vec::with_capacity(batch.len());
+        for msg in batch {
+            if matches!(msg, ToDevice::Shutdown) {
+                hand_over(&outbox, &mut answers);
+                return;
+            }
+            if msg.as_query().is_some() {
+                served += 1;
+                match behavior {
+                    DeviceBehavior::Crash { after_queries }
+                        if served > u64::from(after_queries) =>
+                    {
+                        // Crash: the thread is gone, later sends fail.
+                        hand_over(&outbox, &mut answers);
+                        return;
+                    }
+                    DeviceBehavior::Omit => continue,
+                    DeviceBehavior::FlakyDrop { permille }
+                        if fault_rng.gen_range(0u32..1000) < u32::from(permille.min(1000)) =>
+                    {
+                        continue;
+                    }
+                    DeviceBehavior::Delayed(d) => {
+                        if !hand_over(&outbox, &mut answers) {
+                            return; // cluster gone
+                        }
+                        clock.sleep(d);
+                    }
+                    _ => {}
                 }
-                DeviceBehavior::Omit => continue,
-                DeviceBehavior::FlakyDrop { permille }
-                    if fault_rng.gen_range(0u32..1000) < u32::from(permille.min(1000)) =>
-                {
-                    continue;
+            }
+            if let Some(mut response) = honest.handle(msg) {
+                if behavior == DeviceBehavior::Byzantine {
+                    corrupt(&mut response);
                 }
-                DeviceBehavior::Delayed(d) => clock.sleep(d),
-                _ => {}
+                answers.push(response);
             }
         }
-        if let Some(mut response) = honest.handle(msg) {
-            if behavior == DeviceBehavior::Byzantine {
-                corrupt(&mut response);
+        if !hand_over(&outbox, &mut answers) {
+            return; // cluster gone
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::error::Error;
+    use crate::transport::{ChannelTransport, Transport};
+    use crate::SimClock;
+    use scec_coding::{CodeDesign, Encoder};
+    use scec_linalg::{Fp61, Matrix, Vector};
+
+    /// The window every test here queues.
+    const WINDOW: u64 = 16;
+    /// The actor under test.
+    const DEVICE: usize = 3;
+
+    /// One actor with `behavior` holding a share, handed requests
+    /// `1..=WINDOW` as one batch (`batched`) or one hand-off each, then
+    /// shut down and joined. Returns the transport, the clock and every
+    /// message the actor sent, in order.
+    fn serve_window(
+        behavior: DeviceBehavior,
+        batched: bool,
+    ) -> (
+        ChannelTransport<Fp61>,
+        Arc<SimClock>,
+        Vec<Vec<FromDevice<Fp61>>>,
+    ) {
+        let mut rng = StdRng::seed_from_u64(7);
+        let a = Matrix::<Fp61>::random(6, 4, &mut rng);
+        let encoder = Encoder::new(CodeDesign::new(6, 2).unwrap());
+        let share = encoder
+            .encode(&a, &mut rng)
+            .unwrap()
+            .into_shares()
+            .remove(0);
+        let sim = Arc::new(SimClock::manual());
+        let clock: Arc<dyn Clock> = sim.clone();
+        let (mut transport, answers) = ChannelTransport::spawn(vec![(DEVICE, behavior)], &clock);
+        transport
+            .send(0, ToDevice::Install(Box::new(share)))
+            .unwrap();
+        for request in 1..=WINDOW {
+            let x = Arc::new(Vector::random(4, &mut rng));
+            let query = ToDevice::Query {
+                request,
+                x,
+                ctx: None,
+            };
+            transport.send(0, query).unwrap();
+            if !batched {
+                // A crashed actor refuses the hand-off; that is the test's
+                // business, not this helper's.
+                let _ = transport.flush();
             }
-            if outbox.send(response).is_err() {
-                return; // cluster gone
-            }
+        }
+        let _ = transport.flush();
+        transport.shutdown();
+        (transport, sim, answers.try_iter().collect())
+    }
+
+    fn requests(messages: &[Vec<FromDevice<Fp61>>]) -> Vec<u64> {
+        messages.iter().flatten().map(FromDevice::request).collect()
+    }
+
+    #[test]
+    fn hand_off_count_an_honest_actor_answers_a_window_with_one_message() {
+        let (_, _, messages) = serve_window(DeviceBehavior::Honest, true);
+        assert_eq!(messages.len(), 1);
+        assert_eq!(requests(&messages), (1..=WINDOW).collect::<Vec<_>>());
+        println!("hand-off count: device actor, {WINDOW} answers -> 1 message");
+    }
+
+    #[test]
+    fn a_crash_serves_exactly_its_quota_of_a_window_then_refuses_hand_offs() {
+        let behavior = DeviceBehavior::Crash { after_queries: 5 };
+        let (transport, _, messages) = serve_window(behavior, true);
+        assert_eq!(requests(&messages), [1, 2, 3, 4, 5]);
+        // The thread is gone: queuing still succeeds, the hand-off names
+        // the device.
+        let x = Arc::new(Vector::zeros(4));
+        let query = ToDevice::Query {
+            request: 99,
+            x,
+            ctx: None,
+        };
+        transport.send(0, query).expect("queued");
+        match transport.flush() {
+            Err(Error::ChannelClosed { device }) => assert_eq!(device, Some(DEVICE)),
+            other => panic!("expected ChannelClosed, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_delay_does_not_hold_back_the_answers_before_it() {
+        let delay = Duration::from_millis(2);
+        let (_, clock, messages) = serve_window(DeviceBehavior::Delayed(delay), true);
+        // Each answer left before the next query's sleep began, so the
+        // window comes back one answer at a time, in order …
+        assert_eq!(messages.len(), WINDOW as usize);
+        assert!(messages.iter().all(|m| m.len() == 1));
+        assert_eq!(requests(&messages), (1..=WINDOW).collect::<Vec<_>>());
+        // … and every query of the batch slept.
+        assert_eq!(clock.now(), delay * WINDOW as u32);
+    }
+
+    #[test]
+    fn flaky_drops_are_drawn_per_query_in_arrival_order() {
+        // One draw per query from the device's own stream: the window as
+        // one batch drops exactly what it drops handed over one query at
+        // a time, which is what the same seed dropped before batches.
+        let behavior = DeviceBehavior::flaky(0.5);
+        let (_, _, batched) = serve_window(behavior, true);
+        let (_, _, one_by_one) = serve_window(behavior, false);
+        assert_eq!(requests(&batched), requests(&one_by_one));
+        let answered = requests(&batched).len();
+        assert!(0 < answered && answered < WINDOW as usize, "{answered}");
+        assert_eq!(batched.len(), 1, "the survivors share one message");
+        // Omit is the same rule at probability one.
+        assert!(serve_window(DeviceBehavior::Omit, true).2.is_empty());
+    }
+
+    #[test]
+    fn a_byzantine_actor_corrupts_every_answer_of_a_batch() {
+        let first_value = |resp: &FromDevice<Fp61>| match resp {
+            FromDevice::Partial { values, .. } => values.at(0),
+            other => panic!("not a partial: {other:?}"),
+        };
+        let (_, _, honest) = serve_window(DeviceBehavior::Honest, true);
+        let (_, _, byzantine) = serve_window(DeviceBehavior::Byzantine, true);
+        assert_eq!(requests(&byzantine), requests(&honest));
+        for (forged, genuine) in byzantine.iter().flatten().zip(honest.iter().flatten()) {
+            assert_eq!(first_value(forged), first_value(genuine) + Fp61::new(1));
         }
     }
 }

@@ -1,10 +1,12 @@
 //! Shared response mailbox for all cluster flavors.
 //!
-//! Every cluster funnels device responses through one crossbeam channel.
-//! Concurrent queries therefore share the receiver: whichever query
-//! thread pops a response belonging to a *different* request parks it in
-//! that request's stash, and every thread re-checks its stash each
-//! polling round so nothing is lost. A stash exists from the request's
+//! Every cluster funnels device responses through one crossbeam channel,
+//! a batch per message: what a device answered to one window, or what
+//! one socket read produced. Concurrent queries therefore share the
+//! receiver: whichever query thread pops a batch keeps the responses its
+//! own request still needs and parks the others in their requests'
+//! stashes, and every thread re-checks its stash each polling round so
+//! nothing is lost. A stash exists from the request's
 //! [`open`](Mailbox::open) to its [`clear`](Mailbox::clear); a response
 //! to a request that is not open — finished, abandoned, or never begun —
 //! has no reader and is dropped on arrival, so a straggler answering
@@ -14,13 +16,13 @@ use std::collections::BTreeMap;
 use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
-use crossbeam::channel::{Receiver, RecvTimeoutError, TryRecvError};
+use crossbeam::channel::{RecvTimeoutError, TryRecvError};
 use scec_linalg::Scalar;
 
 use crate::clock::Clock;
 use crate::error::{Error, Result};
 use crate::message::FromDevice;
-use crate::transport::Transport;
+use crate::transport::{Responses, Transport};
 
 /// Bounded polling interval: how long a query thread blocks on the
 /// shared channel before re-checking the deadline and the parked stash.
@@ -38,16 +40,17 @@ pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 
 /// The shared response channel plus the parked-response stash.
 pub(crate) struct Mailbox<F> {
-    responses: Receiver<FromDevice<F>>,
+    responses: Responses<F>,
     /// One stash per open request: the responses popped on its behalf
-    /// by threads collecting other requests. Every begin, finish and
+    /// by threads collecting other requests, and its own beyond what a
+    /// collect needed. Every begin, finish and
     /// response looks a request up here, and the open ids are few and
     /// sequential — an ordered map finds them without hashing.
     parked: Mutex<BTreeMap<u64, Vec<FromDevice<F>>>>,
 }
 
 impl<F: Scalar> Mailbox<F> {
-    pub(crate) fn new(responses: Receiver<FromDevice<F>>) -> Self {
+    pub(crate) fn new(responses: Responses<F>) -> Self {
         Mailbox {
             responses,
             parked: Mutex::new(BTreeMap::new()),
@@ -64,17 +67,19 @@ impl<F: Scalar> Mailbox<F> {
     /// Collects responses for `request` until `absorb` reports progress of
     /// at least `needed`, the deadline passes, or `absorb` fails.
     ///
-    /// `absorb` is called once per response addressed to `request` and
-    /// returns the updated progress count — number of devices heard for
-    /// all-response protocols, number of tagged rows for quorum
-    /// protocols. Responses for other open requests are parked for their
-    /// owning threads; the stash is re-checked every polling round.
+    /// `absorb` is called once per response addressed to `request`,
+    /// until `needed`, and returns the updated progress count — number
+    /// of devices heard for all-response protocols, number of tagged
+    /// rows for quorum protocols. The rest of each batch is parked under
+    /// one lock hold: responses for other open requests for their owning
+    /// threads, and this request's beyond `needed` for its next collect;
+    /// the stash is re-checked every polling round.
     ///
-    /// Responses that have already arrived are drained without
-    /// blocking; only when the channel is empty — the caller is about to
-    /// park — is `transport` flushed, so whatever a pipeline left queued
-    /// goes out as one write per device, and never later than the wait
-    /// that depends on it.
+    /// Batches that have already arrived are drained without blocking;
+    /// only when the channel is empty — the caller is about to park — is
+    /// `transport` flushed, so whatever a pipeline left queued goes out
+    /// as one hand-off per device, and never later than the wait that
+    /// depends on it.
     ///
     /// The deadline lives on `clock`'s timeline: real time for
     /// [`RealClock`](crate::RealClock), virtual time for
@@ -101,55 +106,73 @@ impl<F: Scalar> Mailbox<F> {
     ) -> Result<()> {
         let deadline = clock.now().saturating_add(timeout);
         let mut progress = 0;
+        // What a batch holds beyond this collect's needs, on its way to
+        // the stashes.
+        let mut rest = Vec::new();
         while progress < needed {
             let stash = lock(&self.parked)
                 .get_mut(&request)
                 .map(std::mem::take)
                 .unwrap_or_default();
-            if !stash.is_empty() {
-                for resp in stash {
-                    progress = absorb(resp)?;
+            let batch = if !stash.is_empty() {
+                stash
+            } else {
+                let remaining = deadline.saturating_sub(clock.now());
+                if remaining.is_zero() {
+                    return Err(Error::Timeout {
+                        request,
+                        received: progress,
+                        needed,
+                    });
                 }
-                continue;
-            }
-            let remaining = deadline.saturating_sub(clock.now());
-            if remaining.is_zero() {
-                return Err(Error::Timeout {
-                    request,
-                    received: progress,
-                    needed,
-                });
-            }
-            let resp = match self.responses.try_recv() {
-                Ok(resp) => resp,
-                Err(TryRecvError::Disconnected) => {
-                    return Err(Error::ChannelClosed { device: None });
-                }
-                Err(TryRecvError::Empty) => {
-                    transport.flush()?;
-                    let slice = remaining.min(POLL);
-                    match self.responses.recv_timeout(slice) {
-                        Ok(resp) => resp,
-                        Err(RecvTimeoutError::Timeout) => {
-                            // A real polling slice expired with no
-                            // response; tell the clock (advances virtual
-                            // time under an auto-advance SimClock), then
-                            // loop to re-check the deadline and the
-                            // parked stash.
-                            clock.poll_expired(slice);
-                            continue;
-                        }
-                        Err(RecvTimeoutError::Disconnected) => {
-                            return Err(Error::ChannelClosed { device: None });
+                match self.responses.try_recv() {
+                    Ok(batch) => batch,
+                    Err(TryRecvError::Disconnected) => {
+                        return Err(Error::ChannelClosed { device: None });
+                    }
+                    Err(TryRecvError::Empty) => {
+                        transport.flush()?;
+                        let slice = remaining.min(POLL);
+                        match self.responses.recv_timeout(slice) {
+                            Ok(batch) => batch,
+                            Err(RecvTimeoutError::Timeout) => {
+                                // A real polling slice expired with no
+                                // response; tell the clock (advances
+                                // virtual time under an auto-advance
+                                // SimClock), then loop to re-check the
+                                // deadline and the parked stash.
+                                clock.poll_expired(slice);
+                                continue;
+                            }
+                            Err(RecvTimeoutError::Disconnected) => {
+                                return Err(Error::ChannelClosed { device: None });
+                            }
                         }
                     }
                 }
             };
-            if resp.request() == request {
-                progress = absorb(resp)?;
-            } else if let Some(stash) = lock(&self.parked).get_mut(&resp.request()) {
-                stash.push(resp);
+            // A failing `absorb` ends the collect, but not before the
+            // other requests' share of the batch is parked.
+            let mut absorbed = Ok(());
+            for resp in batch {
+                if resp.request() == request && progress < needed && absorbed.is_ok() {
+                    match absorb(resp) {
+                        Ok(now) => progress = now,
+                        Err(e) => absorbed = Err(e),
+                    }
+                } else {
+                    rest.push(resp);
+                }
             }
+            if !rest.is_empty() {
+                let mut parked = lock(&self.parked);
+                for resp in rest.drain(..) {
+                    if let Some(stash) = parked.get_mut(&resp.request()) {
+                        stash.push(resp);
+                    }
+                }
+            }
+            absorbed?;
         }
         Ok(())
     }
@@ -172,5 +195,109 @@ impl<F> Mailbox<F> {
     /// Requests that currently have a stash.
     pub(crate) fn open_requests(&self) -> Vec<u64> {
         lock(&self.parked).keys().copied().collect()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::transport::ChannelTransport;
+    use crate::SimClock;
+    use crossbeam::channel::unbounded;
+    use scec_linalg::{Fp61, Vector};
+
+    fn response(request: u64, device: usize) -> FromDevice<Fp61> {
+        FromDevice::Partial {
+            request,
+            device,
+            values: Vector::zeros(1),
+        }
+    }
+
+    /// Collects `needed` responses for `request` and returns the devices
+    /// that answered, in the order absorbed. The auto-advance clock
+    /// turns "nothing there" into a deterministic timeout.
+    fn devices_heard(mailbox: &Mailbox<Fp61>, request: u64, needed: usize) -> Result<Vec<usize>> {
+        let (transport, _) = ChannelTransport::unthreaded(&[]);
+        let mut heard = Vec::new();
+        let absorb = |resp: FromDevice<Fp61>| {
+            heard.push(resp.device());
+            Ok(heard.len())
+        };
+        let patience = Duration::from_millis(25);
+        mailbox.collect(
+            &transport,
+            &SimClock::new(),
+            request,
+            patience,
+            needed,
+            absorb,
+        )?;
+        Ok(heard)
+    }
+
+    #[test]
+    fn a_batch_is_absorbed_parked_and_dropped_by_request() {
+        let (tx, rx) = unbounded();
+        let mailbox = Mailbox::new(rx);
+        // Requests 1–3 are open; 4 was never begun (or is finished).
+        (1..=3).for_each(|request| mailbox.open(request));
+        let batch = [
+            (1, 1),
+            (2, 1),
+            (4, 1),
+            (1, 2),
+            (3, 1),
+            (1, 3),
+            (2, 2),
+            (4, 2),
+        ];
+        tx.send(
+            batch
+                .map(|(request, device)| response(request, device))
+                .to_vec(),
+        )
+        .unwrap();
+
+        // The collected request takes what it needs, in arrival order …
+        assert_eq!(devices_heard(&mailbox, 1, 2).unwrap(), [1, 2]);
+        // … what it did not need is parked for its next collect, not lost …
+        assert_eq!(devices_heard(&mailbox, 1, 1).unwrap(), [3]);
+        // … the other open requests find theirs without the channel …
+        assert_eq!(devices_heard(&mailbox, 2, 2).unwrap(), [1, 2]);
+        assert_eq!(devices_heard(&mailbox, 3, 1).unwrap(), [1]);
+        // … and the closed request's were dropped: it has no stash, and
+        // every stash is empty again.
+        assert_eq!(mailbox.open_requests(), [1, 2, 3]);
+        for request in 1..=4 {
+            assert!(matches!(
+                devices_heard(&mailbox, request, 1),
+                Err(Error::Timeout { received: 0, .. })
+            ));
+        }
+    }
+
+    #[test]
+    fn a_failing_absorb_still_parks_the_rest_of_the_batch() {
+        let (tx, rx) = unbounded();
+        let mailbox = Mailbox::new(rx);
+        mailbox.open(1);
+        mailbox.open(2);
+        tx.send(vec![response(1, 1), response(2, 1), response(2, 2)])
+            .unwrap();
+        let (transport, _) = ChannelTransport::unthreaded(&[]);
+        let refuse = |resp: FromDevice<Fp61>| {
+            Err(Error::DeviceFailure {
+                device: resp.device(),
+                reason: "refused".into(),
+            })
+        };
+        let patience = Duration::from_millis(25);
+        let refused = mailbox.collect(&transport, &SimClock::new(), 1, patience, 1, refuse);
+        assert!(matches!(
+            refused,
+            Err(Error::DeviceFailure { device: 1, .. })
+        ));
+        assert_eq!(devices_heard(&mailbox, 2, 2).unwrap(), [1, 2]);
     }
 }

@@ -134,7 +134,8 @@ pub trait PipelinedQuery {
     /// An implementation may leave the broadcast queued in its
     /// transport, provided it goes out no later than the next `finish`
     /// that has to wait, the next `abandon`, or shutdown — so a window
-    /// of `begin`s can share one write per device.
+    /// of `begin`s can share one hand-off (a channel message, a socket
+    /// write) per device.
     ///
     /// # Errors
     ///
@@ -157,13 +158,17 @@ pub trait PipelinedQuery {
     fn clock_now(&self) -> Duration;
 }
 
+/// As for [`Cluster`](crate::Cluster): `begin` leaves the broadcast
+/// queued in the transport (the inherent
+/// [`SupervisedCluster::begin_query`] flushes it), so a window of
+/// requests is one hand-off per device.
 impl<F: Scalar> PipelinedQuery for SupervisedCluster<F> {
     type Input = Vector<F>;
     type Output = SupervisedResult<F>;
     type Ticket = SupervisedTicket<F>;
 
     fn begin(&self, input: &Vector<F>) -> Result<SupervisedTicket<F>> {
-        self.begin_query(input)
+        SupervisedCluster::begin(self, input, false)
     }
 
     fn finish(&self, ticket: SupervisedTicket<F>) -> Result<SupervisedResult<F>> {

@@ -401,12 +401,25 @@ struct AttemptState<F: Scalar> {
 }
 
 impl<F: Scalar> AttemptState<F> {
+    fn new() -> Self {
+        AttemptState {
+            rows: Vec::new(),
+            responders: Vec::new(),
+            rejected: Vec::new(),
+        }
+    }
+
     /// Distinct devices heard from (verified or rejected).
     fn heard(&self) -> usize {
         self.responders.len() + self.rejected.len()
     }
 
     /// Absorbs one response; returns `(verified rows, devices heard)`.
+    ///
+    /// A device speaks once per attempt: a response from one already
+    /// heard — verified or rejected — neither counts nor replaces
+    /// anything, so a repeated partial cannot reach the quorum with rows
+    /// the decoder would refuse as duplicates.
     fn absorb(
         &mut self,
         topo: &Topology<F>,
@@ -415,26 +428,22 @@ impl<F: Scalar> AttemptState<F> {
         started: Duration,
         resp: FromDevice<F>,
     ) -> (usize, usize) {
+        let device = resp.device();
+        let heard =
+            self.rejected.contains(&device) || self.responders.iter().any(|&(j, _)| j == device);
         match resp {
-            FromDevice::TaggedPartial {
-                device, responses, ..
-            } => {
-                if partial_verifies(topo, device, x, &responses) {
-                    self.rows.extend(responses);
-                    self.responders
-                        .push((device, clock.now().saturating_sub(started).as_secs_f64()));
-                } else if !self.rejected.contains(&device) {
-                    self.rejected.push(device);
-                }
+            _ if heard => {}
+            FromDevice::TaggedPartial { responses, .. }
+                if partial_verifies(topo, device, x, &responses) =>
+            {
+                self.rows.extend(responses);
+                self.responders
+                    .push((device, clock.now().saturating_sub(started).as_secs_f64()));
             }
-            other => {
-                // Failures and protocol violations are tolerated
-                // per-device: record and keep collecting.
-                let device = other.device();
-                if !self.rejected.contains(&device) {
-                    self.rejected.push(device);
-                }
-            }
+            // Partials that do not verify, failures and protocol
+            // violations are tolerated per-device: record and keep
+            // collecting.
+            _ => self.rejected.push(device),
         }
         (self.rows.len(), self.heard())
     }
@@ -452,17 +461,13 @@ fn partial_verifies<F: Scalar>(
     let Some(check) = topo.checks.get(j.wrapping_sub(1)) else {
         return false;
     };
-    if responses.len() != check.rows.len() {
-        return false;
-    }
-    let mut values = Vec::with_capacity(responses.len());
-    for (resp, &row) in responses.iter().zip(&check.rows) {
-        if resp.row != row {
-            return false;
-        }
-        values.push(resp.value);
-    }
-    matches!(check.key.verify(x, &Vector::from_vec(values)), Ok(true))
+    let rows_match = responses.len() == check.rows.len()
+        && responses
+            .iter()
+            .zip(&check.rows)
+            .all(|(r, &row)| r.row == row);
+    let values = responses.iter().map(|r| r.value);
+    rows_match && matches!(check.key.verify_values(x, values), Ok(true))
 }
 
 /// The fault-tolerant supervised cluster. See the [module docs](self).
@@ -492,7 +497,7 @@ pub struct SupervisedCluster<F: Scalar> {
     mailbox: Mailbox<F>,
     /// Kept alive so `Mailbox::collect` never sees a disconnect, and
     /// cloned into every respawned actor.
-    resp_tx: Sender<FromDevice<F>>,
+    resp_tx: Sender<Vec<FromDevice<F>>>,
     next_request: AtomicU64,
     roster: Mutex<Vec<PhysicalDevice>>,
     events: Mutex<Vec<SupervisorEvent>>,
@@ -797,7 +802,7 @@ impl<F: Scalar> SupervisedCluster<F> {
         data: &Matrix<F>,
         roster: &mut [PhysicalDevice],
         config: &SupervisorConfig,
-        resp_tx: &Sender<FromDevice<F>>,
+        resp_tx: &Sender<Vec<FromDevice<F>>>,
         rng: &mut StdRng,
         clock: &Arc<dyn Clock>,
         cost_scale: Option<&[f64]>,
@@ -959,12 +964,16 @@ impl<F: Scalar> SupervisedCluster<F> {
     /// (repairing first if a device already left the alive set) and
     /// returns a [`SupervisedTicket`] without waiting for responses.
     ///
-    /// This is the supervised pipeline entry point: the devices start
-    /// computing immediately, and
+    /// The broadcast is with the devices before this returns, so they
+    /// start computing immediately, and
     /// [`finish_query`](Self::finish_query) later collects, verifies,
-    /// and decodes. If the in-flight attempt cannot be completed — a
-    /// retryable failure, or a repair replaced the topology generation
-    /// under the request — finish falls back to a fresh serialized
+    /// and decodes. (The pipeline engines go through
+    /// [`PipelinedQuery::begin`](crate::PipelinedQuery::begin) instead,
+    /// which may leave it queued in the transport until the pipeline
+    /// next waits, so a window of queries is one hand-off per device.)
+    /// If the in-flight attempt cannot be completed — a retryable
+    /// failure, or a repair replaced the topology generation under the
+    /// request — finish falls back to a fresh serialized
     /// [`query`](Self::query), so pipelined submission never weakens the
     /// fault-tolerance guarantees.
     ///
@@ -972,6 +981,13 @@ impl<F: Scalar> SupervisedCluster<F> {
     ///
     /// Repair failures at begin time (e.g. [`Error::FleetExhausted`]).
     pub fn begin_query(&self, x: &Vector<F>) -> Result<SupervisedTicket<F>> {
+        self.begin(x, true)
+    }
+
+    /// [`begin_query`](Self::begin_query), with the broadcast flushed to
+    /// the devices (`eager`) or left queued in the transport until the
+    /// next collect, abandon, repair or shutdown.
+    pub(crate) fn begin(&self, x: &Vector<F>, eager: bool) -> Result<SupervisedTicket<F>> {
         let started = self.clock.now();
         let mut topo = lock(&self.topo);
         if self.needs_repair(&topo) {
@@ -979,7 +995,7 @@ impl<F: Scalar> SupervisedCluster<F> {
         }
         // A broadcast failure is not fatal here: the ticket simply skips
         // the fast path and finish re-queries with retry + repair.
-        let request = self.broadcast(&topo, x).ok();
+        let request = self.broadcast(&topo, x, eager).ok();
         Ok(SupervisedTicket {
             x: x.clone(),
             request,
@@ -1055,8 +1071,10 @@ impl<F: Scalar> SupervisedCluster<F> {
     }
 
     /// Drops an in-flight supervised query, discarding any responses
-    /// already parked for it.
+    /// already parked for it. Nothing stays queued past an abandon: a
+    /// broadcast still sitting in the transport is sent all the same.
     pub fn abandon_query(&self, ticket: SupervisedTicket<F>) {
+        let _ = lock(&self.topo).transport.flush();
         if let Some(request) = ticket.request {
             self.mailbox.clear(request);
         }
@@ -1098,18 +1116,44 @@ impl<F: Scalar> SupervisedCluster<F> {
         x: &Vector<F>,
     ) -> std::result::Result<AttemptOutcome<F>, AttemptError> {
         let started = self.clock.now();
-        let request = self.broadcast(topo, x)?;
+        // Queued: the collect flushes it before it parks.
+        let request = self.broadcast(topo, x, false)?;
         self.complete(topo, x, request, started)
     }
 
-    /// Broadcasts `x` (one `Arc`-shared copy across the fan-out) to every
-    /// actor of `topo` and returns the request id. A failed send means
-    /// the actor thread is gone — a crash detected at the transport
-    /// layer, reported as [`AttemptError::Repairable`].
+    /// Books a transport failure against `topo`. A closed channel naming
+    /// one of its actors means that thread is gone — a crash detected at
+    /// the transport layer: the physical device is declared dead and the
+    /// attempt is [`AttemptError::Repairable`]. Anything else is fatal.
+    fn lost(&self, topo: &Topology<F>, e: Error) -> AttemptError {
+        let closed = match e {
+            Error::ChannelClosed { device: Some(j) } => topo.physical.get(j.wrapping_sub(1)),
+            _ => None,
+        };
+        let Some(&device) = closed else {
+            return AttemptError::Fatal(e);
+        };
+        let was = std::mem::replace(&mut lock(&self.roster)[device - 1].state, DeviceState::Dead);
+        if was != DeviceState::Dead {
+            let ev = SupervisorEvent::Died { device };
+            self.emit_events(std::slice::from_ref(&ev));
+            lock(&self.events).push(ev);
+        }
+        AttemptError::Repairable(Error::ChannelClosed {
+            device: Some(device),
+        })
+    }
+
+    /// Hands `x` (one `Arc`-shared copy across the fan-out) to the
+    /// transport for every actor of `topo` and returns the request id.
+    /// An `eager` broadcast is flushed to the actors before this
+    /// returns; otherwise it may stay queued until the next collect.
+    /// A hand-off that finds an actor gone is [`lost`](Self::lost).
     fn broadcast(
         &self,
         topo: &Topology<F>,
         x: &Vector<F>,
+        eager: bool,
     ) -> std::result::Result<u64, AttemptError> {
         let request = self.next_request.fetch_add(1, Ordering::Relaxed);
         self.mailbox.open(request);
@@ -1119,39 +1163,19 @@ impl<F: Scalar> SupervisedCluster<F> {
         self.last_trace.0.store(request, Ordering::Relaxed);
         self.last_trace.1.store(topo.generation, Ordering::Relaxed);
         let shared = Arc::new(x.clone());
-        let mut events = Vec::new();
-        let mut dead_send = None;
-        for idx in 0..topo.transport.device_count() {
-            if topo
-                .transport
-                .send(
-                    idx,
-                    ToDevice::Query {
-                        request,
-                        x: Arc::clone(&shared),
-                        ctx,
-                    },
-                )
-                .is_err()
-            {
-                dead_send = Some(topo.physical[idx]);
-                let mut roster = lock(&self.roster);
-                let h = &mut roster[topo.physical[idx] - 1];
-                if h.state != DeviceState::Dead {
-                    h.state = DeviceState::Dead;
-                    events.push(SupervisorEvent::Died {
-                        device: topo.physical[idx],
-                    });
-                }
-            }
+        let query = || ToDevice::Query {
+            request,
+            x: Arc::clone(&shared),
+            ctx,
+        };
+        let mut handed = (0..topo.transport.device_count())
+            .try_for_each(|idx| topo.transport.send(idx, query()));
+        if eager {
+            handed = handed.and_then(|()| topo.transport.flush());
         }
-        if let Some(phys) = dead_send {
+        if let Err(e) = handed {
             self.mailbox.clear(request);
-            self.emit_events(&events);
-            lock(&self.events).extend(events);
-            return Err(AttemptError::Repairable(Error::ChannelClosed {
-                device: Some(phys),
-            }));
+            return Err(self.lost(topo, e));
         }
         self.tel.with(|s| {
             let bytes = message_bytes(
@@ -1191,11 +1215,7 @@ impl<F: Scalar> SupervisedCluster<F> {
         // Collect until `m + r` *verified* rows; unverifiable partials
         // are rejected without counting toward the quorum.
         let needed = topo.code.rows_needed();
-        let mut state = AttemptState {
-            rows: Vec::new(),
-            responders: Vec::new(),
-            rejected: Vec::new(),
-        };
+        let mut state = AttemptState::new();
         let collect = self.mailbox.collect(
             &*topo.transport,
             &*self.clock,
@@ -1209,7 +1229,7 @@ impl<F: Scalar> SupervisedCluster<F> {
             // grace window (their responses are usually already queued)
             // so slow-but-honest devices are credited instead of
             // accruing misses. Extra verified rows also join the decode.
-            let _ = self.mailbox.collect(
+            let grace = self.mailbox.collect(
                 &*topo.transport,
                 &*self.clock,
                 request,
@@ -1217,8 +1237,23 @@ impl<F: Scalar> SupervisedCluster<F> {
                 topo.transport.device_count(),
                 |resp| Ok(state.absorb(topo, x, &*self.clock, started, resp).1),
             );
+            // Running out of grace is the ordinary way out. A flush that
+            // found an actor gone was handing over *later* broadcasts:
+            // this request has its quorum, so the death is booked and
+            // the next begin repairs.
+            if let Err(e @ Error::ChannelClosed { .. }) = grace {
+                let _ = self.lost(topo, e);
+            }
         }
         self.mailbox.clear(request);
+        let timed_out = match collect {
+            Ok(()) => None,
+            Err(e @ Error::Timeout { .. }) => Some(e),
+            // No verdict on any device's answer — the flush found an
+            // actor gone, or the channel itself failed — so no health
+            // accounting either.
+            Err(e) => return Err(self.lost(topo, e)),
+        };
         let AttemptState {
             rows,
             responders,
@@ -1316,8 +1351,8 @@ impl<F: Scalar> SupervisedCluster<F> {
             }
         }
 
-        match collect {
-            Ok(()) => {
+        match timed_out {
+            None => {
                 let degraded = !missing_phys.is_empty() || !rejected_phys.is_empty();
                 if degraded {
                     events.push(SupervisorEvent::Degraded {
@@ -1356,7 +1391,7 @@ impl<F: Scalar> SupervisedCluster<F> {
                     degraded,
                 })
             }
-            Err(e @ Error::Timeout { .. }) => {
+            Some(e) => {
                 self.emit_events(&events);
                 lock(&self.events).extend(events);
                 if newly_excluded {
@@ -1364,11 +1399,6 @@ impl<F: Scalar> SupervisedCluster<F> {
                 } else {
                     Err(AttemptError::Timeout(e))
                 }
-            }
-            Err(e) => {
-                self.emit_events(&events);
-                lock(&self.events).extend(events);
-                Err(AttemptError::Fatal(e))
             }
         }
     }
@@ -1757,6 +1787,163 @@ mod tests {
         assert!(!result.degraded);
         assert!(!cluster.enrolled_devices().contains(&1));
         assert_eq!(cluster.stats().quarantined, 1);
+    }
+
+    #[test]
+    fn a_device_already_heard_neither_counts_nor_replaces() {
+        let (a, cluster, mut rng) = launch(11, &[], fast_config());
+        let x = Vector::<Fp61>::random(4, &mut rng);
+        let topo = lock(&cluster.topo);
+        let (clock, patience) = (&*cluster.clock, cluster.config.deadline);
+        // Every actor's genuine partial, by way of a real broadcast.
+        let request = cluster.broadcast(&topo, &x, true).ok().expect("broadcast");
+        let mut genuine = Vec::new();
+        let everyone = topo.transport.device_count();
+        let keep = |resp| {
+            genuine.push(resp);
+            Ok(genuine.len())
+        };
+        cluster
+            .mailbox
+            .collect(&*topo.transport, clock, request, patience, everyone, keep)
+            .unwrap();
+        genuine.sort_by_key(FromDevice::device);
+        let first = genuine[0].clone();
+        let first_rows = topo.checks[0].rows.len();
+
+        // Straight into `absorb`: the second copy moves nothing.
+        let mut state = AttemptState::new();
+        let absorb = |state: &mut AttemptState<Fp61>, resp: &FromDevice<Fp61>| {
+            state.absorb(&topo, &x, clock, Duration::ZERO, resp.clone())
+        };
+        assert_eq!(absorb(&mut state, &first), (first_rows, 1));
+        assert_eq!(absorb(&mut state, &first), (first_rows, 1));
+        // Nor does a rejected device get a second hearing, even for a
+        // partial that would have verified.
+        let mut forged = genuine[1].clone();
+        crate::device::corrupt(&mut forged);
+        assert_eq!(absorb(&mut state, &forged), (first_rows, 2));
+        assert_eq!(absorb(&mut state, &forged), (first_rows, 2));
+        assert_eq!(absorb(&mut state, &genuine[1]), (first_rows, 2));
+        assert_eq!((state.responders.len(), state.rejected.len()), (1, 1));
+
+        // Through the mailbox (the request is still open): twice inside
+        // one batch, once more in a batch of its own, then the others.
+        // The quorum waits for rows that decode.
+        cluster
+            .resp_tx
+            .send(vec![first.clone(), first.clone()])
+            .unwrap();
+        cluster.resp_tx.send(vec![first]).unwrap();
+        cluster.resp_tx.send(genuine[1..].to_vec()).unwrap();
+        let mut state = AttemptState::new();
+        let needed = topo.code.rows_needed();
+        let rows = |resp: FromDevice<Fp61>| Ok(absorb(&mut state, &resp).0);
+        cluster
+            .mailbox
+            .collect(&*topo.transport, clock, request, patience, needed, rows)
+            .unwrap();
+        cluster.mailbox.clear(request);
+        let mut responders: Vec<usize> = state.responders.iter().map(|&(j, _)| j).collect();
+        responders.dedup();
+        assert_eq!(responders.len(), state.responders.len(), "{responders:?}");
+        assert_eq!(
+            topo.code.decode(&state.rows).unwrap(),
+            a.matvec(&x).unwrap()
+        );
+    }
+
+    #[test]
+    fn a_byzantine_device_in_a_window_is_quarantined_on_its_first_answer() {
+        // A grace this long costs nothing when every device answers, and
+        // makes sure the forged partial is heard by the first finish.
+        let config = fast_config().with_quorum_grace(Duration::from_secs(10));
+        let (a, cluster, mut rng) = launch(12, &[DeviceBehavior::Byzantine], config);
+        let queries: Vec<Vector<Fp61>> = (0..16).map(|_| Vector::random(4, &mut rng)).collect();
+        let mut pipeline = crate::QueryPipeline::new(&cluster, queries.len()).unwrap();
+        for x in &queries {
+            assert!(pipeline.submit(x).unwrap().is_none());
+        }
+        // The window reached each device as one batch and every answer
+        // device 1 gave to it is forged; the first finish meets the first.
+        let first = pipeline.poll().unwrap().expect("the first result");
+        assert_eq!(first.value, a.matvec(&queries[0]).unwrap());
+        assert!(first.degraded);
+        let health = &cluster.health()[0];
+        assert_eq!(health.state, DeviceState::Quarantined);
+        assert_eq!(health.integrity_failures, 1);
+        let rest = pipeline.collect().unwrap();
+        for (x, y) in queries[1..].iter().zip(&rest) {
+            assert_eq!(y.value, a.matvec(x).unwrap());
+        }
+        assert_eq!(cluster.health()[0].integrity_failures, 16);
+        let quarantines = cluster
+            .events()
+            .into_iter()
+            .filter(|e| matches!(e, SupervisorEvent::Quarantined { device: 1 }));
+        assert_eq!(quarantines.count(), 1);
+    }
+
+    #[test]
+    fn a_crash_inside_a_window_is_found_by_the_next_hand_off() {
+        // Device 1 serves five queries of the first window and exits.
+        // Misses only ever make it suspect here, so it is the next
+        // window's hand-off, inside a finish, that finds the thread gone.
+        let behaviors = [DeviceBehavior::Crash { after_queries: 5 }];
+        let config = fast_config().with_thresholds(1, 200);
+        let (a, cluster, mut rng) = launch(13, &behaviors, config);
+        let queries: Vec<Vector<Fp61>> = (0..40).map(|_| Vector::random(4, &mut rng)).collect();
+        let results = crate::QueryPipeline::run(&cluster, 16, &queries).unwrap();
+        for (x, y) in queries.iter().zip(&results) {
+            assert_eq!(y.value, a.matvec(x).unwrap());
+        }
+        assert_eq!(cluster.health()[0].state, DeviceState::Dead);
+        assert!(!cluster.enrolled_devices().contains(&1));
+        let events = cluster.events();
+        let died = SupervisorEvent::Died { device: 1 };
+        assert_eq!(events.iter().filter(|e| **e == died).count(), 1);
+        let stats = cluster.stats();
+        assert_eq!((stats.count, stats.repairs), (40, 1), "{stats:?}");
+    }
+
+    #[test]
+    fn an_eager_begin_and_an_abandon_hand_the_broadcast_to_the_devices() {
+        // Every actor sleeps 1 ms of virtual time per query it is handed,
+        // and nothing else moves this clock: its reading counts hand-offs.
+        let mut rng = StdRng::seed_from_u64(14);
+        let a = Matrix::<Fp61>::random(6, 4, &mut rng);
+        let tick = Duration::from_millis(1);
+        let behaviors = [DeviceBehavior::Delayed(tick); 5];
+        let clock = Arc::new(crate::SimClock::manual());
+        let cluster = SupervisedCluster::launch_clocked(
+            &a,
+            &COSTS,
+            &behaviors,
+            fast_config(),
+            &mut rng,
+            Arc::clone(&clock) as Arc<dyn Clock>,
+        )
+        .unwrap();
+        let devices = cluster.device_count() as u32;
+        let served = |queries: u32| {
+            let patience = std::time::Instant::now() + Duration::from_secs(30);
+            while clock.now() < tick * devices * queries {
+                assert!(std::time::Instant::now() < patience, "never handed over");
+                std::thread::yield_now();
+            }
+        };
+        let x = Vector::<Fp61>::random(4, &mut rng);
+        // Nothing else touches the cluster: only an eager begin gets the
+        // query to the actors.
+        let eager = cluster.begin_query(&x).unwrap();
+        served(1);
+        let queued: Vec<_> = (0..3).map(|_| cluster.begin(&x, false).unwrap()).collect();
+        for ticket in queued {
+            cluster.abandon_query(ticket);
+        }
+        served(4);
+        cluster.abandon_query(eager);
+        assert_eq!(clock.now(), tick * devices * 4);
     }
 
     #[test]

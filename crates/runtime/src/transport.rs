@@ -18,11 +18,21 @@
 //!   sockets, length-prefixed `scec-wire` frames built with the shared
 //!   [`frames`] codecs.
 //!
-//! The receive side stays a crossbeam [`Receiver`] feeding the cluster
-//! mailbox, whatever the backend: remote transports pump their sockets
-//! into the channel from reader threads.
+//! The receive side stays a crossbeam [`Receiver`] of response batches
+//! feeding the cluster mailbox, whatever the backend: remote transports
+//! pump their sockets into the channel from reader threads.
+//!
+//! # Batches
+//!
+//! Every thread hand-off on the query path carries a *batch*, and a
+//! lone message is a batch of one: the channels move `Vec<ToDevice<F>>`
+//! toward a device and `Vec<FromDevice<F>>` back. Queries accepted by
+//! [`Transport::send`] wait for [`Transport::flush`], so a pipelined
+//! window costs one wake-up per device, not one per query; the device
+//! answers a batch with a batch (see [`device`](crate::device)), and a
+//! socket reader forwards whatever one read produced.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -34,16 +44,22 @@ use scec_wire::{WireDecode, WireEncode};
 use crate::clock::Clock;
 use crate::device::{device_main, DeviceBehavior};
 use crate::error::{Error, Result};
+use crate::mailbox::lock;
 use crate::message::{FromDevice, ToDevice};
+
+/// The receive side of a device fleet, whatever the backend: the stream
+/// its responses arrive on, a batch per message.
+pub type Responses<F> = Receiver<Vec<FromDevice<F>>>;
 
 /// The send side of a device fleet: a fixed roster of enrolled devices
 /// reachable by protocol messages.
 ///
 /// Implementations must map a failed send onto
 /// [`Error::ChannelClosed`] naming the device, so cluster-level crash
-/// detection behaves identically across backends. Responses flow back
-/// through the crossbeam channel the transport was built with — the
-/// cluster's mailbox does not know which backend produced them.
+/// detection behaves identically across backends. Responses flow back,
+/// in batches, through the crossbeam channel the transport was built
+/// with — the cluster's mailbox does not know which backend produced
+/// them.
 pub trait Transport<F: Scalar>: Send + Sync {
     /// Number of enrolled devices.
     fn device_count(&self) -> usize;
@@ -53,6 +69,11 @@ pub trait Transport<F: Scalar>: Send + Sync {
 
     /// Sends one protocol message to the device at roster `index`.
     ///
+    /// A query may stay queued until [`flush`](Self::flush). Anything
+    /// else — an install, an instrument, a shutdown — is delivered at
+    /// once, behind whatever is queued for that device, so a device
+    /// sees its messages in the order they were sent.
+    ///
     /// # Errors
     ///
     /// [`Error::ChannelClosed`] when the device is unreachable.
@@ -60,10 +81,12 @@ pub trait Transport<F: Scalar>: Send + Sync {
 
     /// Puts every message accepted by [`send`](Self::send) on its way.
     ///
-    /// A backend may leave query messages queued so that a window of
-    /// them shares one write; the cluster calls this before it blocks
-    /// on responses, so nothing queued outlives the next wait. Backends
-    /// that deliver inside `send` keep the default no-op.
+    /// All three backends queue queries — the in-process ones so that a
+    /// window of them is one channel message and one wake-up per
+    /// device, the TCP one so that it is one write — and the cluster
+    /// calls this before it blocks on responses, so nothing queued
+    /// outlives the next wait. The default is for a transport whose
+    /// `send` has already delivered.
     ///
     /// # Errors
     ///
@@ -94,12 +117,41 @@ pub trait Transport<F: Scalar>: Send + Sync {
 /// Handle to one spawned device actor.
 struct DeviceHandle<F> {
     device: usize,
-    tx: Sender<ToDevice<F>>,
+    tx: Sender<Vec<ToDevice<F>>>,
+    /// Queries accepted by `send` and not yet handed to the actor: only
+    /// what the caller has begun and not yet waited on, which a pipeline
+    /// window bounds.
+    queued: Mutex<Vec<ToDevice<F>>>,
     join: Option<JoinHandle<()>>,
 }
 
+impl<F> DeviceHandle<F> {
+    fn new(device: usize, tx: Sender<Vec<ToDevice<F>>>, join: Option<JoinHandle<()>>) -> Self {
+        DeviceHandle {
+            device,
+            tx,
+            queued: Mutex::new(Vec::new()),
+            join,
+        }
+    }
+
+    /// Hands the actor everything in `queued` as one channel message —
+    /// one wake-up, however many queries. What a dead actor cannot take
+    /// is dropped with it.
+    fn hand_over(&self, queued: &mut Vec<ToDevice<F>>) -> Result<()> {
+        if queued.is_empty() {
+            return Ok(());
+        }
+        // The next window is likely as wide as this one.
+        let batch = std::mem::replace(queued, Vec::with_capacity(queued.len()));
+        self.tx.send(batch).map_err(|_| Error::ChannelClosed {
+            device: Some(self.device),
+        })
+    }
+}
+
 /// The in-process backend: one spawned actor thread per device, plain
-/// crossbeam channels, no serialization.
+/// crossbeam channels carrying batches, no serialization.
 pub struct ChannelTransport<F> {
     devices: Vec<DeviceHandle<F>>,
 }
@@ -112,7 +164,7 @@ impl<F: Scalar> ChannelTransport<F> {
     pub(crate) fn spawn_onto(
         specs: Vec<(usize, DeviceBehavior)>,
         clock: &Arc<dyn Clock>,
-        resp_tx: &Sender<FromDevice<F>>,
+        resp_tx: &Sender<Vec<FromDevice<F>>>,
     ) -> Self {
         let mut devices = Vec::with_capacity(specs.len());
         for (device, behavior) in specs {
@@ -123,11 +175,7 @@ impl<F: Scalar> ChannelTransport<F> {
                 .name(format!("scec-device-{device}"))
                 .spawn(move || device_main::<F>(device, rx, outbox, behavior, device_clock))
                 .expect("spawn device thread");
-            devices.push(DeviceHandle {
-                device,
-                tx,
-                join: Some(join),
-            });
+            devices.push(DeviceHandle::new(device, tx, Some(join)));
         }
         ChannelTransport { devices }
     }
@@ -137,7 +185,7 @@ impl<F: Scalar> ChannelTransport<F> {
     pub(crate) fn spawn(
         specs: Vec<(usize, DeviceBehavior)>,
         clock: &Arc<dyn Clock>,
-    ) -> (Self, Receiver<FromDevice<F>>) {
+    ) -> (Self, Responses<F>) {
         let (resp_tx, resp_rx) = unbounded();
         (Self::spawn_onto(specs, clock, &resp_tx), resp_rx)
     }
@@ -154,15 +202,30 @@ impl<F: Scalar> Transport<F> for ChannelTransport<F> {
 
     fn send(&self, index: usize, msg: ToDevice<F>) -> Result<()> {
         let dev = &self.devices[index];
-        dev.tx.send(msg).map_err(|_| Error::ChannelClosed {
-            device: Some(dev.device),
-        })
+        let mut queued = lock(&dev.queued);
+        let waits = msg.as_query().is_some();
+        queued.push(msg);
+        if waits {
+            return Ok(());
+        }
+        dev.hand_over(&mut queued)
+    }
+
+    fn flush(&self) -> Result<()> {
+        // Every device is tried, so nothing stays queued behind a dead
+        // one; the first failure is the one reported.
+        let mut flushed = Ok(());
+        for dev in &self.devices {
+            flushed = flushed.and(dev.hand_over(&mut lock(&dev.queued)));
+        }
+        flushed
     }
 
     fn shutdown(&mut self) {
-        for dev in &self.devices {
-            // A send failure just means the thread is already gone.
-            let _ = dev.tx.send(ToDevice::Shutdown);
+        for index in 0..self.devices.len() {
+            // Behind whatever is queued. A send failure just means the
+            // thread is already gone.
+            let _ = self.send(index, ToDevice::Shutdown);
         }
         for dev in &mut self.devices {
             if let Some(join) = dev.join.take() {
@@ -175,7 +238,9 @@ impl<F: Scalar> Transport<F> for ChannelTransport<F> {
 /// A deterministic simulated link over the in-process actors: every
 /// data-plane message is encoded to `scec-wire` bytes and decoded back
 /// before delivery (both directions), with an optional fixed per-message
-/// latency slept on the cluster clock.
+/// latency slept on the cluster clock. Batches cross it whole: queries
+/// queue in the inner transport until [`Transport::flush`], and the
+/// relay forwards a device's batch of answers as one batch.
 ///
 /// Control-plane messages ([`ToDevice::Instrument`],
 /// [`ToDevice::Shutdown`]) pass through unserialized — they carry
@@ -197,10 +262,10 @@ where
     /// each response — zero keeps the link timing-transparent.
     pub(crate) fn wrap(
         inner: ChannelTransport<F>,
-        inner_rx: Receiver<FromDevice<F>>,
+        inner_rx: Responses<F>,
         clock: Arc<dyn Clock>,
         delay: Duration,
-    ) -> (Self, Receiver<FromDevice<F>>) {
+    ) -> (Self, Responses<F>) {
         let (out_tx, out_rx) = unbounded();
         let relay_clock = Arc::clone(&clock);
         let relay = std::thread::Builder::new()
@@ -210,23 +275,26 @@ where
                 // the same pooled-buffer discipline the TCP hot path
                 // uses.
                 let mut buf = Vec::new();
-                while let Ok(resp) = inner_rx.recv() {
-                    if !delay.is_zero() {
-                        relay_clock.sleep(delay);
+                while let Ok(mut batch) = inner_rx.recv() {
+                    for resp in &mut batch {
+                        if !delay.is_zero() {
+                            relay_clock.sleep(delay);
+                        }
+                        frames::encode_response(resp, &mut buf);
+                        *resp = match frames::decode_response::<F>(&buf) {
+                            Ok(r) => r,
+                            // A codec failure on the simulated link
+                            // models a corrupt frame: surface it as a
+                            // device failure rather than silently
+                            // dropping the response.
+                            Err(e) => FromDevice::Failure {
+                                request: resp.request(),
+                                device: resp.device(),
+                                reason: format!("simulated link codec error: {e}"),
+                            },
+                        };
                     }
-                    frames::encode_response(&resp, &mut buf);
-                    let roundtripped = match frames::decode_response::<F>(&buf) {
-                        Ok(r) => r,
-                        // A codec failure on the simulated link models a
-                        // corrupt frame: surface it as a device failure
-                        // rather than silently dropping the response.
-                        Err(e) => FromDevice::Failure {
-                            request: resp.request(),
-                            device: resp.device(),
-                            reason: format!("simulated link codec error: {e}"),
-                        },
-                    };
-                    if out_tx.send(roundtripped).is_err() {
+                    if out_tx.send(batch).is_err() {
                         return;
                     }
                 }
@@ -263,6 +331,10 @@ where
         }
         let msg = roundtrip_to_device(msg, device)?;
         self.inner.send(index, msg)
+    }
+
+    fn flush(&self) -> Result<()> {
+        self.inner.flush()
     }
 
     fn shutdown(&mut self) {
@@ -639,8 +711,235 @@ pub mod frames {
 mod tests {
     use super::frames::{decode_response, decode_to_device, encode_response, encode_to_device};
     use super::*;
-    use scec_coding::TaggedResponse;
+    use crate::cluster::{Cluster, Link};
+    use crate::{LocalCluster, PanelQuery, PipelinedQuery, SimClock};
+    use crossbeam::channel::TryRecvError;
+    use rand::{rngs::StdRng, SeedableRng};
+    use scec_coding::{CodeDesign, Encoder, TaggedResponse};
     use scec_linalg::{Fp61, Matrix, Vector};
+
+    impl<F> ChannelTransport<F> {
+        /// A transport with no actor threads behind it: the test holds the
+        /// inboxes, one per id, and plays the devices.
+        pub(crate) fn unthreaded(ids: &[usize]) -> (Self, Vec<Receiver<Vec<ToDevice<F>>>>) {
+            let (devices, inboxes) = ids
+                .iter()
+                .map(|&device| {
+                    let (tx, inbox) = unbounded();
+                    (DeviceHandle::new(device, tx, None), inbox)
+                })
+                .unzip();
+            (ChannelTransport { devices }, inboxes)
+        }
+    }
+
+    /// The window the hand-off tests queue.
+    const WINDOW: u64 = 16;
+
+    /// The devices' ends of an unthreaded transport, in roster order.
+    type Inboxes = Vec<Receiver<Vec<ToDevice<Fp61>>>>;
+
+    fn query(request: u64) -> ToDevice<Fp61> {
+        ToDevice::Query {
+            request,
+            x: Arc::new(Vector::zeros(4)),
+            ctx: None,
+        }
+    }
+
+    fn answer(request: u64) -> FromDevice<Fp61> {
+        FromDevice::Partial {
+            request,
+            device: 1,
+            values: Vector::zeros(2),
+        }
+    }
+
+    /// Queues [`WINDOW`] queries per device — nothing may reach an inbox
+    /// yet — then flushes: each inbox holds exactly one message, the
+    /// whole window in order.
+    fn assert_one_message_per_device_per_window(
+        transport: &dyn Transport<Fp61>,
+        inboxes: &Inboxes,
+    ) {
+        for request in 1..=WINDOW {
+            for index in 0..transport.device_count() {
+                transport.send(index, query(request)).unwrap();
+            }
+        }
+        for inbox in inboxes {
+            assert_eq!(inbox.try_recv().err(), Some(TryRecvError::Empty));
+        }
+        transport.flush().unwrap();
+        for inbox in inboxes {
+            let requests: Vec<u64> = (inbox.try_recv().expect("the window"))
+                .iter()
+                .map(|msg| match msg {
+                    ToDevice::Query { request, .. } => *request,
+                    other => panic!("not a query: {other:?}"),
+                })
+                .collect();
+            assert_eq!(requests, (1..=WINDOW).collect::<Vec<_>>());
+            assert_eq!(inbox.try_recv().err(), Some(TryRecvError::Empty));
+        }
+        // A second flush has nothing to hand over.
+        transport.flush().unwrap();
+        for inbox in inboxes {
+            assert_eq!(inbox.try_recv().err(), Some(TryRecvError::Empty));
+        }
+    }
+
+    #[test]
+    fn hand_off_count_a_window_is_one_message_per_device_over_channels() {
+        let (transport, inboxes) = ChannelTransport::<Fp61>::unthreaded(&[1, 2, 3]);
+        assert_one_message_per_device_per_window(&transport, &inboxes);
+        println!("hand-off count: channel, {WINDOW} queries -> 1 message per device");
+    }
+
+    #[test]
+    fn hand_off_count_a_window_is_one_message_each_way_over_the_sim_link() {
+        let (inner, inboxes) = ChannelTransport::<Fp61>::unthreaded(&[1, 2, 3]);
+        let (device_side, inner_rx) = unbounded();
+        let clock: Arc<dyn Clock> = Arc::new(SimClock::new());
+        let (mut transport, responses) =
+            SimLinkTransport::wrap(inner, inner_rx, clock, Duration::ZERO);
+        assert_one_message_per_device_per_window(&transport, &inboxes);
+        // And back: a device's batch of answers crosses the relay whole.
+        device_side
+            .send((1..=WINDOW).map(answer).collect())
+            .unwrap();
+        let relayed = responses.recv().expect("the relayed batch");
+        let requests: Vec<u64> = relayed.iter().map(FromDevice::request).collect();
+        assert_eq!(requests, (1..=WINDOW).collect::<Vec<_>>());
+        drop(device_side);
+        transport.shutdown();
+        assert!(responses.try_recv().is_err(), "one batch in, one batch out");
+        println!("hand-off count: sim-link, {WINDOW} queries -> 1 message per device, {WINDOW} answers -> 1 message");
+    }
+
+    fn shares(seed: u64) -> (CodeDesign, Vec<scec_coding::DeviceShare<Fp61>>) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let a = Matrix::<Fp61>::random(6, 4, &mut rng);
+        let design = CodeDesign::new(6, 2).unwrap();
+        let shares = Encoder::new(design.clone()).encode(&a, &mut rng).unwrap();
+        (design, shares.into_shares())
+    }
+
+    /// What kind of message each entry of a batch is.
+    fn kinds(batch: &[ToDevice<Fp61>]) -> Vec<&'static str> {
+        let kind = |msg: &ToDevice<Fp61>| match msg {
+            ToDevice::Install(_) | ToDevice::InstallTagged(_) => "install",
+            ToDevice::Query { .. } => "query",
+            ToDevice::QueryBatch { .. } => "panel",
+            ToDevice::Instrument(_) => "instrument",
+            ToDevice::Shutdown => "shutdown",
+        };
+        batch.iter().map(kind).collect()
+    }
+
+    #[test]
+    fn an_install_goes_at_once_behind_the_queued_queries() {
+        let (transport, inboxes) = ChannelTransport::<Fp61>::unthreaded(&[1]);
+        let (_, mut shares) = shares(1);
+        transport.send(0, query(1)).unwrap();
+        transport.send(0, query(2)).unwrap();
+        assert!(inboxes[0].try_recv().is_err(), "queries wait for a flush");
+        let install = ToDevice::Install(Box::new(shares.remove(0)));
+        transport.send(0, install).unwrap();
+        let batch = inboxes[0].try_recv().expect("delivered by the install");
+        assert_eq!(kinds(&batch), ["query", "query", "install"]);
+        assert!(matches!(batch[0], ToDevice::Query { request: 1, .. }));
+        assert!(matches!(batch[1], ToDevice::Query { request: 2, .. }));
+        transport.flush().unwrap();
+        assert!(inboxes[0].try_recv().is_err(), "nothing was left behind");
+    }
+
+    /// A base-protocol cluster over an unthreaded transport: the test
+    /// holds the inboxes (already drained of the installs) and the send
+    /// side of the response stream.
+    fn unthreaded_cluster() -> (LocalCluster<Fp61>, Inboxes, Sender<Vec<FromDevice<Fp61>>>) {
+        let (design, shares) = shares(2);
+        let ids: Vec<usize> = shares.iter().map(|s| s.device()).collect();
+        let (transport, inboxes) = ChannelTransport::unthreaded(&ids);
+        let (resp_tx, resp_rx) = unbounded();
+        let clock: Arc<dyn Clock> = Arc::new(SimClock::new());
+        let encoded = (Duration::ZERO, Duration::ZERO);
+        let link = |_: &[_]| -> Result<Link<Fp61>> { Ok((Box::new(transport), resp_rx)) };
+        let cluster = Cluster::launch_over(design, shares, |_| None, clock, encoded, link).unwrap();
+        for inbox in &inboxes {
+            assert_eq!(kinds(&inbox.try_recv().expect("the install")), ["install"]);
+        }
+        (cluster, inboxes, resp_tx)
+    }
+
+    #[test]
+    fn abandon_shutdown_and_drop_leave_nothing_queued() {
+        let (cluster, inboxes, _resp_tx) = unthreaded_cluster();
+        let x = Vector::<Fp61>::zeros(4);
+        let xs = Matrix::<Fp61>::zeros(4, 3);
+        let delivered = |what: &str, want: &[&str]| {
+            for inbox in &inboxes {
+                assert_eq!(kinds(&inbox.try_recv().expect(what)), want, "{what}");
+                assert!(inbox.try_recv().is_err(), "{what}: one message");
+            }
+        };
+
+        let first = PipelinedQuery::begin(&cluster, &x).unwrap();
+        let second = PipelinedQuery::begin(&cluster, &x).unwrap();
+        for inbox in &inboxes {
+            assert!(inbox.try_recv().is_err(), "a pipelined begin stays queued");
+        }
+        cluster.abandon_query(first);
+        delivered("abandon_query", &["query", "query"]);
+        cluster.abandon_query(second);
+
+        let panel = PanelQuery::begin_panel(&cluster, &xs).unwrap();
+        let _still_open = PipelinedQuery::begin(&cluster, &x).unwrap();
+        cluster.abandon_panel(panel);
+        delivered("abandon_panel", &["panel", "query"]);
+
+        // The inherent begins are eager.
+        cluster.abandon_query(cluster.begin_query(&x).unwrap());
+        delivered("begin_query", &["query"]);
+        cluster.abandon_panel(cluster.begin_panel(&xs).unwrap());
+        delivered("begin_panel", &["panel"]);
+
+        let _queued = PipelinedQuery::begin(&cluster, &x).unwrap();
+        drop(cluster);
+        delivered("drop", &["query", "shutdown"]);
+
+        let (cluster, inboxes, _resp_tx) = unthreaded_cluster();
+        let _queued = PipelinedQuery::begin(&cluster, &x).unwrap();
+        cluster.shutdown();
+        for inbox in &inboxes {
+            let last = inbox.try_recv().expect("shutdown");
+            assert_eq!(kinds(&last), ["query", "shutdown"]);
+        }
+    }
+
+    #[test]
+    fn a_flush_that_finds_a_device_gone_fails_the_finish_that_triggered_it() {
+        let (cluster, mut inboxes, _resp_tx) = unthreaded_cluster();
+        // Shares are enrolled in device order, 1-based.
+        let gone = 2;
+        drop(inboxes.remove(gone - 1));
+        let x = Vector::<Fp61>::zeros(4);
+        // Queuing cannot fail; the hand-off does, inside the wait.
+        let ticket = PipelinedQuery::begin(&cluster, &x).expect("queued");
+        match cluster.finish_query(ticket) {
+            Err(Error::ChannelClosed { device }) => assert_eq!(device, Some(gone)),
+            other => panic!("expected ChannelClosed naming device {gone}, got {other:?}"),
+        }
+        // The devices that are there were served all the same.
+        for inbox in &inboxes {
+            assert_eq!(kinds(&inbox.try_recv().expect("the query")), ["query"]);
+        }
+        // Eagerly, the begin itself reports it.
+        assert!(matches!(
+            cluster.begin_query(&x),
+            Err(Error::ChannelClosed { device }) if device == Some(gone)
+        ));
+    }
 
     #[test]
     fn responses_roundtrip_losslessly() {

@@ -9,7 +9,8 @@
 //! `write` per device; share installs and the closing BYE are written at
 //! once, behind whatever was queued. A reader thread per device pulls
 //! response frames through a buffered [`FrameReader`] and decodes them
-//! into the cluster's crossbeam mailbox channel — the same channel the
+//! into the cluster's crossbeam mailbox channel, everything one socket
+//! read produced as one batch — the same channel of batches the
 //! in-memory backend feeds, so the cluster core cannot tell the
 //! difference.
 //!
@@ -26,12 +27,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use crossbeam::channel::{unbounded, Sender};
 
 use scec_coding::HelloMsg;
 use scec_linalg::Scalar;
 use scec_runtime::message::{FromDevice, ToDevice};
-use scec_runtime::transport::frames;
+use scec_runtime::transport::{frames, Responses};
 use scec_runtime::Transport;
 use scec_wire::stream::{
     begin_frame, end_frame, read_frame, write_frame, FrameReader, DEFAULT_MAX_FRAME,
@@ -157,7 +158,7 @@ where
         addr: SocketAddr,
         tenant: u64,
         device_ids: &[usize],
-    ) -> Result<(Self, Receiver<FromDevice<F>>, WireMeter)> {
+    ) -> Result<(Self, Responses<F>, WireMeter)> {
         let meter = WireMeter::new(device_ids.to_vec());
         let (resp_tx, resp_rx) = unbounded();
         let mut peers = Vec::with_capacity(device_ids.len());
@@ -227,7 +228,7 @@ fn spawn_reader<F>(
     device: usize,
     index: usize,
     meter: WireMeter,
-    resp_tx: Sender<FromDevice<F>>,
+    resp_tx: Sender<Vec<FromDevice<F>>>,
 ) -> Result<JoinHandle<()>>
 where
     F: Scalar + WireDecode + 'static,
@@ -236,6 +237,7 @@ where
         .name(format!("scec-tcp-reader-{device}"))
         .spawn(move || {
             let mut reader = FrameReader::new(DEFAULT_MAX_FRAME);
+            let mut batch = Vec::new();
             // Ends on EOF (the server closed) or a broken stream alike.
             while let Ok(frame) = reader.next_frame(&mut stream) {
                 meter.add_received(index, (LEN_PREFIX_BYTES + frame.len()) as u64);
@@ -257,7 +259,14 @@ where
                         reason: format!("response codec error: {e}"),
                     },
                 };
-                if resp_tx.send(resp).is_err() {
+                batch.push(resp);
+                if reader.has_frame() {
+                    continue;
+                }
+                // Everything one socket read produced is one hand-off to
+                // the mailbox; the next read likely brings as much.
+                let next = Vec::with_capacity(batch.len());
+                if resp_tx.send(std::mem::replace(&mut batch, next)).is_err() {
                     return;
                 }
             }
@@ -385,12 +394,15 @@ mod tests {
         };
         transport.send(0, query).expect("send");
         transport.flush().expect("flush");
-        match responses.recv_timeout(Duration::from_secs(30)) {
-            Ok(FromDevice::Failure {
-                request: 7,
-                device: 1,
-                reason,
-            }) => assert!(reason.contains("device 2"), "{reason}"),
+        let batch = responses.recv_timeout(Duration::from_secs(30));
+        match batch.as_deref() {
+            Ok(
+                [FromDevice::Failure {
+                    request: 7,
+                    device: 1,
+                    reason,
+                }],
+            ) => assert!(reason.contains("device 2"), "{reason}"),
             other => panic!("expected device 1's failure, got {other:?}"),
         }
         transport.shutdown();

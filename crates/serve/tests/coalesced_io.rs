@@ -2,6 +2,7 @@
 //! batched responses and flush-before-park must change how many
 //! syscalls a window costs and nothing else.
 
+use std::net::TcpListener;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -11,11 +12,13 @@ use rand::{rngs::StdRng, SeedableRng};
 use scec_allocation::EdgeFleet;
 use scec_core::{AllocationStrategy, ScecSystem};
 use scec_linalg::{Fp61, Matrix, Vector};
-use scec_runtime::message::ToDevice;
+use scec_runtime::message::{FromDevice, ToDevice};
+use scec_runtime::transport::frames;
 use scec_runtime::{
     Clock, Error, LocalCluster, PanelPipeline, PipelinedQuery, QueryPipeline, RealClock, Transport,
 };
 use scec_serve::{DeviceServer, ServerConfig, TcpTransport};
+use scec_wire::stream::{read_frame, write_frame, DEFAULT_MAX_FRAME};
 
 const ROWS: usize = 6;
 const COLS: usize = 5;
@@ -210,4 +213,51 @@ fn a_dead_server_surfaces_as_channel_closed_well_inside_the_deadline() {
         "expected ChannelClosed, got {outcome:?}"
     );
     assert!(waited < Duration::from_secs(5), "took {waited:?}");
+}
+
+#[test]
+fn hand_off_count_frames_that_arrive_in_one_chunk_are_one_mailbox_delivery() {
+    const WINDOW: u64 = 16;
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("bound address");
+    // Device 1's peer: admits the HELLO, waits for the query, then
+    // answers a whole window with a single write.
+    let peer = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().expect("accept");
+        let mut frame = Vec::new();
+        read_frame(&mut stream, &mut frame, DEFAULT_MAX_FRAME).expect("hello");
+        write_frame(&mut stream, &frame).expect("ack");
+        read_frame(&mut stream, &mut frame, DEFAULT_MAX_FRAME).expect("query");
+        let mut chunk = Vec::new();
+        for request in 1..=WINDOW {
+            let answer = FromDevice::Partial {
+                request,
+                device: 1,
+                values: Vector::<Fp61>::zeros(2),
+            };
+            frames::encode_response(&answer, &mut frame);
+            write_frame(&mut chunk, &frame).expect("frame into the chunk");
+        }
+        std::io::Write::write_all(&mut stream, &chunk).expect("one write");
+        // Hold the connection open until the client says BYE.
+        let _ = read_frame(&mut stream, &mut frame, DEFAULT_MAX_FRAME);
+    });
+    let (mut transport, responses, _meter) =
+        TcpTransport::<Fp61>::connect(addr, 0, &[1]).expect("connect");
+    let query = ToDevice::Query {
+        request: 1,
+        x: Arc::new(Vector::zeros(COLS)),
+        ctx: None,
+    };
+    transport.send(0, query).expect("send");
+    transport.flush().expect("flush");
+    let delivery = responses
+        .recv_timeout(Duration::from_secs(30))
+        .expect("a delivery");
+    let requests: Vec<u64> = delivery.iter().map(FromDevice::request).collect();
+    assert_eq!(requests, (1..=WINDOW).collect::<Vec<_>>());
+    transport.shutdown();
+    peer.join().expect("peer");
+    assert!(responses.try_recv().is_err(), "and nothing after it");
+    println!("hand-off count: tcp reader, {WINDOW} frames in one chunk -> 1 mailbox delivery");
 }
