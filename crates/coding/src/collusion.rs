@@ -29,6 +29,7 @@ use rand::Rng;
 
 use scec_linalg::{gauss, lu::Lu, span, Matrix, Scalar, Vector};
 
+use crate::encode::DeviceShare;
 use crate::error::{Error, Result};
 
 /// A `t`-private linear code for coded edge computing.
@@ -535,6 +536,15 @@ impl<F: Scalar> TPrivateStore<F> {
     /// Per-device shares, device 1 first.
     pub fn shares(&self) -> &[TPrivateShare<F>] {
         &self.shares
+    }
+
+    /// Consumes the store, returning each share in the plain container a
+    /// device installs: devices are code-agnostic — they multiply
+    /// whatever share they hold — so a `t`-private payload ships as a
+    /// [`DeviceShare`].
+    pub fn into_shares(self) -> Vec<DeviceShare<F>> {
+        let plain = |s: TPrivateShare<F>| DeviceShare::from_parts(s.device, s.first_row, s.coded);
+        self.shares.into_iter().map(plain).collect()
     }
 }
 

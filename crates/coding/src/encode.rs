@@ -48,7 +48,7 @@ impl Encoder {
         rng: &mut R,
     ) -> Result<EncodedStore<F>> {
         let randomness = Matrix::random(self.design.random_rows(), a.ncols(), rng);
-        self.encode_with_randomness(a, &randomness)
+        self.blind(a, randomness)
     }
 
     /// Encodes `a` with caller-supplied randomness (deterministic; used by
@@ -62,6 +62,17 @@ impl Encoder {
         &self,
         a: &Matrix<F>,
         randomness: &Matrix<F>,
+    ) -> Result<EncodedStore<F>> {
+        self.blind(a, randomness.clone())
+    }
+
+    /// The encode both entry points end in. Device 1's share *is* `R`,
+    /// so it takes the block itself; a caller that drew `R` hands it
+    /// over, one that keeps it passes its copy.
+    pub(crate) fn blind<F: Scalar>(
+        &self,
+        a: &Matrix<F>,
+        randomness: Matrix<F>,
     ) -> Result<EncodedStore<F>> {
         let (m, r) = (self.design.data_rows(), self.design.random_rows());
         if a.nrows() != m || a.ncols() == 0 {
@@ -80,25 +91,21 @@ impl Encoder {
         }
         // Fan the per-device share construction out across threads: each
         // device's block is independent, so the store assembles in device
-        // order regardless of which thread built which share.
+        // order regardless of which thread built which share. Every row
+        // past device 1's is a data row plus a random one.
         let ncols = a.ncols();
         let threads = kernels::threads_for(self.design.total_rows() * ncols);
-        let shares = kernels::par_map_collect(self.design.device_count(), threads, |idx| {
-            let j = idx + 1;
+        let blinded = kernels::par_map_collect(self.design.device_count() - 1, threads, |idx| {
+            let j = idx + 2;
             let range = self.design.device_row_range(j).expect("j in range");
             let mut flat = Vec::with_capacity(range.len() * ncols);
-            for row in range.clone() {
-                if row < r {
-                    flat.extend_from_slice(randomness.row(row));
-                } else {
-                    let p = row - r;
-                    flat.extend(
-                        a.row(p)
-                            .iter()
-                            .zip(randomness.row(p % r))
-                            .map(|(&d, &n)| d.add(n)),
-                    );
-                }
+            for p in range.start - r..range.end - r {
+                flat.extend(
+                    a.row(p)
+                        .iter()
+                        .zip(randomness.row(p % r))
+                        .map(|(&d, &n)| d.add(n)),
+                );
             }
             DeviceShare {
                 device: j,
@@ -106,6 +113,13 @@ impl Encoder {
                 coded: Matrix::from_flat(range.len(), ncols, flat).expect("rows are uniform width"),
             }
         });
+        let mut shares = Vec::with_capacity(blinded.len() + 1);
+        shares.push(DeviceShare {
+            device: 1,
+            first_row: 0,
+            coded: randomness,
+        });
+        shares.extend(blinded);
         Ok(EncodedStore {
             design: self.design.clone(),
             shares,
@@ -116,9 +130,9 @@ impl Encoder {
 /// The coded block `B_j T` destined for one edge device.
 #[derive(Clone, PartialEq)]
 pub struct DeviceShare<F> {
-    device: usize,
+    pub(crate) device: usize,
     first_row: usize,
-    coded: Matrix<F>,
+    pub(crate) coded: Matrix<F>,
 }
 
 impl<F: Scalar> DeviceShare<F> {
@@ -299,6 +313,30 @@ mod tests {
             .encode_with_randomness(&a, &randomness)
             .unwrap();
         assert_eq!(store.share(1).unwrap().coded(), &randomness);
+    }
+
+    #[test]
+    fn encode_is_encode_with_the_randomness_the_seed_draws() {
+        for (m, r, l) in [(4usize, 2usize, 3usize), (7, 3, 2), (3, 3, 5), (6, 1, 2)] {
+            let design = CodeDesign::new(m, r).unwrap();
+            let a = Matrix::<Fp61>::random(m, l, &mut StdRng::seed_from_u64(8));
+            let drawn = Encoder::new(design.clone())
+                .encode(&a, &mut StdRng::seed_from_u64(9))
+                .unwrap();
+            let randomness = Matrix::<Fp61>::random(r, l, &mut StdRng::seed_from_u64(9));
+            let given = Encoder::new(design)
+                .encode_with_randomness(&a, &randomness)
+                .unwrap();
+            assert_eq!(drawn.shares(), given.shares(), "m={m} r={r} l={l}");
+        }
+    }
+
+    #[test]
+    fn device_one_is_handed_the_randomness_itself() {
+        let (design, a, randomness) = setup(5, 2, 3, 6);
+        let drawn = randomness.as_flat().as_ptr();
+        let store = Encoder::new(design).blind(&a, randomness).unwrap();
+        assert_eq!(store.share(1).unwrap().coded().as_flat().as_ptr(), drawn);
     }
 
     #[test]

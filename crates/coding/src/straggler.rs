@@ -249,7 +249,7 @@ impl<F: Scalar> StragglerCode<F> {
     /// Propagates [`Encoder::encode`] shape validation.
     pub fn encode<R: Rng + ?Sized>(&self, a: &Matrix<F>, rng: &mut R) -> Result<StragglerStore<F>> {
         let randomness = Matrix::<F>::random(self.base.random_rows(), a.ncols(), rng);
-        self.encode_with_randomness(a, &randomness)
+        self.blind(a, randomness)
     }
 
     /// Deterministic encoding with caller-supplied randomness.
@@ -262,27 +262,35 @@ impl<F: Scalar> StragglerCode<F> {
         a: &Matrix<F>,
         randomness: &Matrix<F>,
     ) -> Result<StragglerStore<F>> {
-        let base_store = Encoder::new(self.base.clone()).encode_with_randomness(a, randomness)?;
-        let t = a.vstack(randomness)?;
+        self.blind(a, randomness.clone())
+    }
+
+    /// The encode both entry points end in: the base encoder takes `R`
+    /// (it is device 1's share, and is read back from there to mix the
+    /// extension rows), and every base share moves into the store.
+    fn blind(&self, a: &Matrix<F>, randomness: Matrix<F>) -> Result<StragglerStore<F>> {
+        let base_store = Encoder::new(self.base.clone()).blind(a, randomness)?;
+        let t = a.vstack(base_store.share(1)?.coded())?;
         let extra_payload = self.extension.matmul(&t)?;
         let n = self.base.total_rows();
-        let i = self.base.device_count();
         let mut shares = Vec::with_capacity(self.device_count());
-        for j in 1..=self.device_count() {
+        for share in base_store.into_shares() {
+            shares.push(StragglerShare {
+                device: share.device,
+                rows: self.device_rows(share.device)?,
+                coded: share.coded,
+            });
+        }
+        for j in self.base.device_count() + 1..=self.device_count() {
             let rows = self.device_rows(j)?;
-            let coded = if j <= i {
-                base_store.share(j)?.coded().clone()
-            } else {
-                let payload_rows: Vec<Vec<F>> = rows
-                    .iter()
-                    .map(|&row| extra_payload.row(row - n).to_vec())
-                    .collect();
-                Matrix::from_rows(payload_rows)?
-            };
+            let payload_rows: Vec<Vec<F>> = rows
+                .iter()
+                .map(|&row| extra_payload.row(row - n).to_vec())
+                .collect();
             shares.push(StragglerShare {
                 device: j,
                 rows,
-                coded,
+                coded: Matrix::from_rows(payload_rows)?,
             });
         }
         Ok(StragglerStore {
@@ -582,6 +590,11 @@ impl<F: Scalar> StragglerStore<F> {
         &self.shares
     }
 
+    /// Consumes the store, returning the shares.
+    pub fn into_shares(self) -> Vec<StragglerShare<F>> {
+        self.shares
+    }
+
     /// Replaces the store's code with a grown (rateless) one. Appending
     /// rows never disturbs existing indices, so already-installed shares
     /// stay valid under the new code.
@@ -653,6 +666,19 @@ mod tests {
             .iter()
             .flat_map(|s| s.compute(x).unwrap())
             .collect()
+    }
+
+    #[test]
+    fn encode_is_encode_with_the_randomness_the_seed_draws() {
+        let (code, a, _, _, _) = setup(6, 3, 4, 5, 40);
+        let drawn = code.encode(&a, &mut StdRng::seed_from_u64(41)).unwrap();
+        let randomness = Matrix::<Fp61>::random(3, 5, &mut StdRng::seed_from_u64(41));
+        let given = code.encode_with_randomness(&a, &randomness).unwrap();
+        assert_eq!(drawn.shares(), given.shares());
+        // And the block it drew is device 1's share, not a copy of it.
+        let drawn = randomness.as_flat().as_ptr();
+        let store = code.blind(&a, randomness).unwrap();
+        assert_eq!(store.shares()[0].coded().as_flat().as_ptr(), drawn);
     }
 
     #[test]

@@ -279,7 +279,8 @@ impl<F: Scalar + WireDecode> WireDecode for StragglerCode<F> {
 impl<F: Scalar + WireEncode> WireEncode for StragglerShare<F> {
     fn encode(&self, out: &mut Vec<u8>) {
         self.device().encode(out);
-        self.rows().to_vec().encode(out);
+        self.rows().len().encode(out);
+        usize::encode_many(self.rows(), out);
         self.coded().encode(out);
     }
 }

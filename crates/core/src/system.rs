@@ -192,6 +192,12 @@ impl<F: Scalar> Deployment<F> {
         &self.devices
     }
 
+    /// Consumes the deployment, returning the coded shares, device 1
+    /// first — what a launch installs on the fleet.
+    pub fn into_shares(self) -> Vec<DeviceShare<F>> {
+        self.devices.into_iter().map(|d| d.share).collect()
+    }
+
     /// Step 3 for the whole fleet: every device computes its partial
     /// `B_j T · x`.
     ///

@@ -14,7 +14,7 @@ use std::time::Duration;
 
 use rand::Rng;
 
-use scec_coding::{decode, CodeDesign, DeviceShare, StragglerCode, TPrivateCode, TPrivateShare};
+use scec_coding::{decode, CodeDesign, DeviceShare, StragglerCode, TPrivateCode};
 use scec_core::ScecSystem;
 use scec_linalg::{Matrix, Scalar, Vector};
 use scec_telemetry::context::kind;
@@ -337,11 +337,7 @@ impl<F: Scalar> LocalCluster<F> {
         let encode_started = clock.now();
         let deployment = system.distribute(rng)?;
         let encoded = (encode_started, clock.now().saturating_sub(encode_started));
-        let shares: Vec<DeviceShare<F>> = deployment
-            .devices()
-            .iter()
-            .map(|d| d.share().clone())
-            .collect();
+        let shares = deployment.into_shares();
         let unit_cost = |device| Some(system.fleet().c(device));
         let design = system.design().clone();
         Self::launch_over(design, shares, unit_cost, clock, encoded, connect)
@@ -370,7 +366,7 @@ impl<F: Scalar> StragglerCluster<F> {
         let encoded = (encode_started, clock.now().saturating_sub(encode_started));
         let behaviors = DeviceBehavior::from_delays(delays);
         let actors = Self::actors(&behaviors, &clock);
-        let (shares, clock) = (store.shares().to_vec(), Arc::clone(&clock));
+        let (shares, clock) = (store.into_shares(), Arc::clone(&clock));
         Self::launch_over(code, shares, |_| None, clock, encoded, actors)
     }
 }
@@ -394,19 +390,10 @@ impl<F: Scalar> TPrivateCluster<F> {
         let encode_started = clock.now();
         let store = code.encode(a, rng)?;
         let encoded = (encode_started, clock.now().saturating_sub(encode_started));
-        let shares = plain_shares(store.shares());
+        let shares = store.into_shares();
         let actors = Self::actors(behaviors, &clock);
         Self::launch_over(code, shares, |_| None, Arc::clone(&clock), encoded, actors)
     }
-}
-
-/// Device actors are code-agnostic — they multiply whatever share they
-/// hold — so a `t`-private payload ships in the plain share container.
-fn plain_shares<F: Scalar>(shares: &[TPrivateShare<F>]) -> Vec<DeviceShare<F>> {
-    let plain = |s: &TPrivateShare<F>| {
-        DeviceShare::from_parts(s.device(), s.first_row(), s.coded().clone())
-    };
-    shares.iter().map(plain).collect()
 }
 
 impl<F: Scalar, S: CodeScheme<F>> Cluster<F, S> {
@@ -423,7 +410,7 @@ impl<F: Scalar, S: CodeScheme<F>> Cluster<F, S> {
         encoded: (Duration, Duration),
         link: impl FnOnce(&[S::Share]) -> Result<Link<F>>,
     ) -> Result<Self> {
-        let (transport, responses) = link(&shares)?;
+        let (mut transport, responses) = link(&shares)?;
         let input_len = shares.first().map_or(0, |s| S::coded(s).ncols());
         let enrolled = shares
             .iter()
@@ -434,7 +421,13 @@ impl<F: Scalar, S: CodeScheme<F>> Cluster<F, S> {
             })
             .collect();
         for (idx, share) in shares.into_iter().enumerate() {
-            transport.send(idx, S::install(share))?;
+            if let Err(e) = transport.send(idx, S::install(share)) {
+                // Nothing else closes the devices already reached: a
+                // dropped transport leaves its connections and their
+                // reader threads behind.
+                transport.shutdown();
+                return Err(e);
+            }
         }
         Ok(Cluster {
             scheme,
@@ -1100,8 +1093,7 @@ mod tests {
         parity_rows(&a, &code, store.shares(), (2, 6), |r| r.value, &mut rng);
 
         let code = TPrivateCode::<Fp61>::new(M, 2, 2, &mut rng).unwrap();
-        let store = code.encode(&a, &mut rng).unwrap();
-        let shares = plain_shares(store.shares());
+        let shares = code.encode(&a, &mut rng).unwrap().into_shares();
         parity_rows(&a, &code, &shares, (1, shares.len() - 1), |y| y, &mut rng);
     }
 
@@ -1397,6 +1389,145 @@ mod tests {
             .unwrap()
             .with_deadline(Duration::from_millis(25));
         assert!(matches!(base.query(&x), Err(Error::Timeout { .. })));
+    }
+
+    /// What a [`Bookkeeper`] saw, kept where the test can read it after
+    /// the transport is gone.
+    #[derive(Default)]
+    struct Books {
+        /// Where the coded rows of each installed share live.
+        installed: Mutex<Vec<usize>>,
+        shutdowns: std::sync::atomic::AtomicUsize,
+    }
+
+    /// The address of the buffer under a share's coded rows: the same
+    /// before and after a move, a new one after a copy.
+    fn buffer(coded: &Matrix<Fp61>) -> usize {
+        coded.as_flat().as_ptr() as usize
+    }
+
+    /// A transport that only keeps [`Books`]: installs past the first
+    /// `reachable` fail the way a closed connection does.
+    struct Bookkeeper {
+        ids: Vec<usize>,
+        reachable: usize,
+        books: Arc<Books>,
+    }
+
+    impl Bookkeeper {
+        fn link<Sh>(
+            device: fn(&Sh) -> usize,
+            reachable: usize,
+            books: &Arc<Books>,
+        ) -> impl FnOnce(&[Sh]) -> Result<Link<Fp61>> {
+            let books = Arc::clone(books);
+            move |shares| {
+                let transport = Bookkeeper {
+                    ids: shares.iter().map(device).collect(),
+                    reachable,
+                    books,
+                };
+                // Nothing ever answers; the sender is dropped at once.
+                Ok((
+                    Box::new(transport) as Box<dyn Transport<Fp61>>,
+                    unbounded().1,
+                ))
+            }
+        }
+    }
+
+    impl Transport<Fp61> for Bookkeeper {
+        fn device_count(&self) -> usize {
+            self.ids.len()
+        }
+
+        fn device_id(&self, index: usize) -> usize {
+            self.ids[index]
+        }
+
+        fn send(&self, index: usize, msg: ToDevice<Fp61>) -> Result<()> {
+            let coded = match &msg {
+                ToDevice::Install(share) => share.coded(),
+                ToDevice::InstallTagged(share) => share.coded(),
+                _ => return Ok(()),
+            };
+            let mut installed = lock(&self.books.installed);
+            if installed.len() == self.reachable {
+                return Err(Error::ChannelClosed {
+                    device: Some(self.ids[index]),
+                });
+            }
+            installed.push(buffer(coded));
+            Ok(())
+        }
+
+        fn shutdown(&mut self) {
+            self.books.shutdowns.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    #[test]
+    fn a_launch_that_fails_part_way_shuts_its_transport_down() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let a = Matrix::<Fp61>::random(M, L, &mut rng);
+        let design = CodeDesign::new(M, 2).unwrap();
+        let shares = Encoder::new(design.clone())
+            .encode(&a, &mut rng)
+            .unwrap()
+            .into_shares();
+        let books = Arc::new(Books::default());
+        // Every device is reached; the second one's install is refused.
+        let link = Bookkeeper::link(DeviceShare::device, 1, &books);
+        let encoded = (Duration::ZERO, Duration::ZERO);
+        let launched = Cluster::launch_over(design, shares, |_| None, sim_clock(), encoded, link);
+        assert!(matches!(
+            launched.map(drop),
+            Err(Error::ChannelClosed { device: Some(2) })
+        ));
+        assert_eq!(lock(&books.installed).len(), 1);
+        assert_eq!(books.shutdowns.load(Ordering::Relaxed), 1);
+    }
+
+    /// Launches `code` over the shares a store gave up, and checks that
+    /// the buffers the encoder `made`, the ones `link` was shown and the
+    /// ones the installs carried are the same allocations, in order.
+    fn assert_installs_what_the_encoder_made<S: CodeScheme<Fp61>>(
+        code: S,
+        made: Vec<usize>,
+        shares: Vec<S::Share>,
+    ) {
+        let books = Arc::new(Books::default());
+        let mut shown = Vec::new();
+        let bookkeeper = Bookkeeper::link(S::device, shares.len(), &books);
+        let link = |shares: &[S::Share]| {
+            shown.extend(shares.iter().map(|s| buffer(S::coded(s))));
+            bookkeeper(shares)
+        };
+        let encoded = (Duration::ZERO, Duration::ZERO);
+        let cluster = Cluster::launch_over(code, shares, |_| None, sim_clock(), encoded, link);
+        cluster.unwrap().shutdown();
+        assert_eq!(shown, made, "{}: link", S::LABEL);
+        assert_eq!(*lock(&books.installed), made, "{}: installs", S::LABEL);
+    }
+
+    #[test]
+    fn every_scheme_installs_the_buffers_its_encoder_made() {
+        let (a, system, mut rng) = build(M, L, 6);
+        let deployment = system.distribute(&mut rng).unwrap();
+        let devices = deployment.devices().iter();
+        let made = devices.map(|d| buffer(d.share().coded())).collect();
+        let design = system.design().clone();
+        assert_installs_what_the_encoder_made(design, made, deployment.into_shares());
+
+        let code = quorum_code(&mut rng);
+        let store = code.encode(&a, &mut rng).unwrap();
+        let made = store.shares().iter().map(|s| buffer(s.coded())).collect();
+        assert_installs_what_the_encoder_made(code, made, store.into_shares());
+
+        let code = TPrivateCode::<Fp61>::new(M, 2, 2, &mut rng).unwrap();
+        let store = code.encode(&a, &mut rng).unwrap();
+        let made = store.shares().iter().map(|s| buffer(s.coded())).collect();
+        assert_installs_what_the_encoder_made(code, made, store.into_shares());
     }
 
     #[test]

@@ -873,10 +873,10 @@ impl<F: Scalar> SupervisedCluster<F> {
                 enrolled.push(phys);
             }
         }
-        let store = code.encode(data, rng)?;
+        let shares = code.encode(data, rng)?.into_shares();
         let mut specs = Vec::with_capacity(code.device_count());
         let mut checks = Vec::with_capacity(code.device_count());
-        for (idx, share) in store.shares().iter().enumerate() {
+        for (idx, share) in shares.iter().enumerate() {
             specs.push((share.device(), roster[enrolled[idx] - 1].behavior));
             checks.push(DeviceCheck {
                 key: IntegrityKey::generate(share.coded(), rng)?,
@@ -884,8 +884,8 @@ impl<F: Scalar> SupervisedCluster<F> {
             });
         }
         let transport = ChannelTransport::spawn_onto(specs, clock, resp_tx);
-        for (idx, share) in store.shares().iter().enumerate() {
-            transport.send(idx, ToDevice::InstallTagged(Box::new(share.clone())))?;
+        for (idx, share) in shares.into_iter().enumerate() {
+            transport.send(idx, ToDevice::InstallTagged(Box::new(share)))?;
         }
         for &phys in &enrolled {
             roster[phys - 1].consecutive_misses = 0;

@@ -33,7 +33,7 @@ use scec_telemetry::{Telemetry, TraceContext};
 use scec_wire::stream::{
     begin_frame, end_frame, read_frame, write_frame, FrameReader, DEFAULT_MAX_FRAME,
 };
-use scec_wire::{decode_framed, encode_framed, peek_tag, tag, WireDecode, WireEncode};
+use scec_wire::{decode_framed, encode_framed_into, peek_tag, tag, WireDecode, WireEncode};
 
 use crate::error::{Error, Result};
 use crate::MAX_PENDING_BYTES;
@@ -250,12 +250,14 @@ fn handle_connection<F>(
 ) where
     F: Scalar + WireEncode + WireDecode,
 {
-    let Ok(hello) = read_hello(&mut stream, config.max_frame) else {
+    // One buffer for the handshake: the HELLO is read into it and the
+    // reply — ack or refusal — is built in it.
+    let mut frame = Vec::new();
+    let Ok(hello) = read_hello(&mut stream, config.max_frame, &mut frame) else {
         return;
     };
     if hello.tenant >= config.max_tenants {
         stats.rejected.fetch_add(1, Ordering::AcqRel);
-        let mut refusal = Vec::new();
         frames::encode_response::<F>(
             &FromDevice::Failure {
                 request: 0,
@@ -265,31 +267,34 @@ fn handle_connection<F>(
                     hello.tenant, config.max_tenants
                 ),
             },
-            &mut refusal,
+            &mut frame,
         );
-        let _ = write_frame(&mut stream, &refusal);
+        let _ = write_frame(&mut stream, &frame);
         let _ = stream.flush();
         return;
     }
-    // Admission ack: echo the hello.
-    if write_frame(&mut stream, &encode_framed(&hello, tag::HELLO)).is_err() {
-        return;
-    }
+    // Counted before the ack leaves: a client holding its ack can be done
+    // with the whole connection before this thread runs again, and
+    // `wait_idle` must not take a fleet for finished while one of its
+    // admitted connections has yet to show in `active`.
     stats.accepted.fetch_add(1, Ordering::AcqRel);
     stats.active.fetch_add(1, Ordering::AcqRel);
-    serve_device::<F, _>(&mut stream, config, stats, &hello, tel, clock);
+    // Admission ack: echo the hello.
+    encode_framed_into(&hello, tag::HELLO, &mut frame);
+    if write_frame(&mut stream, &frame).is_ok() {
+        serve_device::<F, _>(&mut stream, config, stats, &hello, tel, clock);
+    }
     stats.active.fetch_sub(1, Ordering::AcqRel);
 }
 
-/// Reads exactly the HELLO frame, leaving every later byte in the
-/// socket for the serve loop's buffered reader.
-fn read_hello(stream: &mut TcpStream, max_frame: usize) -> Result<HelloMsg> {
-    let mut frame = Vec::new();
-    read_frame(stream, &mut frame, max_frame)?;
-    if peek_tag(&frame)? != tag::HELLO {
+/// Reads exactly the HELLO frame into `frame`, leaving every later byte
+/// in the socket for the serve loop's buffered reader.
+fn read_hello(stream: &mut TcpStream, max_frame: usize, frame: &mut Vec<u8>) -> Result<HelloMsg> {
+    read_frame(stream, frame, max_frame)?;
+    if peek_tag(frame)? != tag::HELLO {
         return Err(Error::Protocol("expected HELLO as the first frame".into()));
     }
-    Ok(decode_framed::<HelloMsg>(&frame, tag::HELLO)?)
+    Ok(decode_framed::<HelloMsg>(frame, tag::HELLO)?)
 }
 
 /// The post-handshake serve loop. The [`Device`] holding the share
@@ -360,8 +365,11 @@ fn serve_device<F, S>(
                     }
                     qctx = ctx;
                 }
-                // An install is not answered.
+                // An install is not answered, and its frame is the one
+                // large thing a connection reads: the device holds the
+                // share now, so the reader gives the room back.
                 let Some(response) = served.handle(msg) else {
+                    reader.release();
                     continue;
                 };
                 response

@@ -300,10 +300,17 @@ where
         // Queries wait for `flush` so a window of them shares one write;
         // an install is written now, behind whatever was queued.
         let queued = matches!(msg, ToDevice::Query { .. } | ToDevice::QueryBatch { .. });
-        if !queued || out.len() >= MAX_PENDING_BYTES {
-            write_queued(stream, out, &self.meter, index).map_err(|_| peer.closed())?;
+        if queued && out.len() < MAX_PENDING_BYTES {
+            return Ok(());
         }
-        Ok(())
+        let written = write_queued(stream, out, &self.meter, index);
+        if !queued {
+            // A share is the one large thing a connection sends: the
+            // buffer it grew goes back rather than idling, a megabyte
+            // wide, under query windows.
+            *out = Vec::new();
+        }
+        written.map_err(|_| peer.closed())
     }
 
     fn flush(&self) -> scec_runtime::Result<()> {
@@ -359,9 +366,68 @@ mod tests {
     use std::sync::Arc;
     use std::time::Duration;
 
-    use scec_linalg::{Fp61, Vector};
+    use scec_coding::DeviceShare;
+    use scec_linalg::{Fp61, Matrix, Vector};
 
     use super::*;
+
+    #[test]
+    fn an_install_leaves_no_share_sized_buffer_behind() {
+        const WINDOW: usize = 16;
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("bound address");
+        // Device 1's peer: admits the HELLO, then counts the frames that
+        // reach it until the client says BYE.
+        let peer = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().expect("accept");
+            let mut frame = Vec::new();
+            read_frame(&mut stream, &mut frame, DEFAULT_MAX_FRAME).expect("hello");
+            write_frame(&mut stream, &frame).expect("ack");
+            let mut tags = Vec::new();
+            while read_frame(&mut stream, &mut frame, DEFAULT_MAX_FRAME).is_ok() {
+                tags.push(peek_tag(&frame).expect("tag"));
+            }
+            tags
+        });
+        let (mut transport, _responses, meter) =
+            TcpTransport::<Fp61>::connect(addr, 0, &[1]).expect("connect");
+        let out_buffer = |t: &TcpTransport<Fp61>| {
+            let guard = t.peers[0].send.lock().expect("send lock");
+            (guard.1.len(), guard.1.capacity())
+        };
+        // A share of 2 MiB: written at once, and its buffer given back.
+        let coded = Matrix::<Fp61>::zeros(256, 1024);
+        let share = DeviceShare::from_parts(1, 0, coded);
+        transport
+            .send(0, ToDevice::Install(Box::new(share)))
+            .expect("install");
+        let installed = meter.sent(0);
+        assert!(installed > 2 << 20, "{installed} bytes on the wire");
+        let (queued, capacity) = out_buffer(&transport);
+        assert_eq!(queued, 0);
+        assert!(capacity <= MAX_PENDING_BYTES, "{capacity} bytes kept");
+        // The window that follows still queues whole and leaves in one
+        // write: nothing is metered until the flush, then all of it is.
+        for request in 0..WINDOW as u64 {
+            let query = ToDevice::Query {
+                request,
+                x: Arc::new(Vector::zeros(128)),
+                ctx: None,
+            };
+            transport.send(0, query).expect("send");
+        }
+        let (queued, _) = out_buffer(&transport);
+        assert!(queued > WINDOW * 128 * 8 && queued < MAX_PENDING_BYTES);
+        assert_eq!(meter.sent(0), installed);
+        transport.flush().expect("flush");
+        assert_eq!(meter.sent(0), installed + queued as u64);
+        assert_eq!(out_buffer(&transport).0, 0);
+        transport.shutdown();
+        let mut expected = vec![tag::DEVICE_SHARE];
+        expected.extend([tag::QUERY; WINDOW]);
+        expected.push(tag::BYE);
+        assert_eq!(peer.join().expect("peer"), expected);
+    }
 
     #[test]
     fn a_response_naming_another_device_is_the_connections_own_failure() {

@@ -2,7 +2,8 @@
 //! batched responses and flush-before-park must change how many
 //! syscalls a window costs and nothing else.
 
-use std::net::TcpListener;
+use std::io::Read;
+use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -10,6 +11,7 @@ use std::time::{Duration, Instant};
 use rand::{rngs::StdRng, SeedableRng};
 
 use scec_allocation::EdgeFleet;
+use scec_coding::HelloMsg;
 use scec_core::{AllocationStrategy, ScecSystem};
 use scec_linalg::{Fp61, Matrix, Vector};
 use scec_runtime::message::{FromDevice, ToDevice};
@@ -19,6 +21,7 @@ use scec_runtime::{
 };
 use scec_serve::{DeviceServer, ServerConfig, TcpTransport};
 use scec_wire::stream::{read_frame, write_frame, DEFAULT_MAX_FRAME};
+use scec_wire::{encode_framed, tag};
 
 const ROWS: usize = 6;
 const COLS: usize = 5;
@@ -60,27 +63,36 @@ impl Transport<Fp61> for SkipInstall {
     }
 }
 
-/// A three-device base-protocol cluster over loopback TCP, and its `A`.
-fn launch(
-    server: &DeviceServer,
+/// A three-device base-protocol cluster launched over TCP to `addr`, if
+/// the launch gets that far, and its `A`.
+fn try_launch(
+    addr: SocketAddr,
     seed: u64,
     skip: Option<usize>,
-) -> (Matrix<Fp61>, LocalCluster<Fp61>) {
+) -> (Matrix<Fp61>, scec_runtime::Result<LocalCluster<Fp61>>) {
     let mut rng = StdRng::seed_from_u64(seed);
     let a = Matrix::<Fp61>::random(ROWS, COLS, &mut rng);
     let fleet = EdgeFleet::from_unit_costs(vec![1.0, 1.5, 2.0]).expect("fleet");
     let system =
         ScecSystem::build(a.clone(), fleet, AllocationStrategy::Mcscec, &mut rng).expect("system");
-    let addr = server.local_addr();
     let clock: Arc<dyn Clock> = Arc::new(RealClock::default());
     let cluster = LocalCluster::launch_with_transport(&system, &mut rng, clock, |shares| {
         let ids: Vec<usize> = shares.iter().map(|s| s.device()).collect();
         let (inner, rx, _meter) = TcpTransport::connect(addr, 0, &ids)
             .map_err(|_| Error::ChannelClosed { device: None })?;
         Ok((Box::new(SkipInstall { inner, skip }) as _, rx))
-    })
-    .expect("launch over loopback");
+    });
     (a, cluster)
+}
+
+/// That cluster on a loopback server.
+fn launch(
+    server: &DeviceServer,
+    seed: u64,
+    skip: Option<usize>,
+) -> (Matrix<Fp61>, LocalCluster<Fp61>) {
+    let (a, cluster) = try_launch(server.local_addr(), seed, skip);
+    (a, cluster.expect("launch over loopback"))
 }
 
 fn queries(seed: u64, n: usize) -> Vec<Vector<Fp61>> {
@@ -213,6 +225,54 @@ fn a_dead_server_surfaces_as_channel_closed_well_inside_the_deadline() {
         "expected ChannelClosed, got {outcome:?}"
     );
     assert!(waited < Duration::from_secs(5), "took {waited:?}");
+}
+
+#[test]
+fn a_launch_that_fails_part_way_closes_the_connections_it_opened() {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("bound address");
+    // A fleet that admits all three devices and loses the second before
+    // any share arrives. Device 2's HELLO is acknowledged unread, so that
+    // closing its connection resets it and the install written to it
+    // fails at once; the connection goes while device 3's HELLO waits for
+    // its ack, which is before the launch can have sent anything.
+    let peer = std::thread::spawn(move || {
+        let mut frame = Vec::new();
+        let (mut first, _) = listener.accept().expect("accept 1");
+        read_frame(&mut first, &mut frame, DEFAULT_MAX_FRAME).expect("hello 1");
+        write_frame(&mut first, &frame).expect("ack 1");
+        let (mut second, _) = listener.accept().expect("accept 2");
+        let hello = HelloMsg {
+            tenant: 0,
+            device: 2,
+        };
+        write_frame(&mut second, &encode_framed(&hello, tag::HELLO)).expect("ack 2");
+        let (mut third, _) = listener.accept().expect("accept 3");
+        read_frame(&mut third, &mut frame, DEFAULT_MAX_FRAME).expect("hello 3");
+        drop(second);
+        write_frame(&mut third, &frame).expect("ack 3");
+        // Whatever the launch still sends on the two connections that
+        // are held open, it must then close them.
+        [first, third].map(|mut held| {
+            let patience = Some(Duration::from_secs(5));
+            held.set_read_timeout(patience).expect("read timeout");
+            let mut sink = [0; 4096];
+            loop {
+                match held.read(&mut sink) {
+                    Ok(0) => return true,
+                    Ok(_) => {}
+                    Err(_) => return false,
+                }
+            }
+        })
+    });
+    let launched = try_launch(addr, 31, None).1.map(drop);
+    assert!(
+        matches!(launched, Err(Error::ChannelClosed { device: Some(2) })),
+        "expected device 2's closed channel, got {launched:?}"
+    );
+    let saw_eof = peer.join().expect("peer");
+    assert_eq!(saw_eof, [true, true], "connections 1 and 3 read EOF");
 }
 
 #[test]

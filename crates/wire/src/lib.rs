@@ -273,6 +273,23 @@ pub trait WireEncode {
     /// Appends this value's encoding to `out`.
     fn encode(&self, out: &mut Vec<u8>);
 
+    /// Bulk-encodes `items`, appending them to `out` — the counterpart
+    /// of [`WireDecode::decode_many`], and what every collection encodes
+    /// its elements through.
+    ///
+    /// The default loops over [`WireEncode::encode`]; the fixed-width
+    /// types (the finite fields, `f64`, the integers) override it to
+    /// size `out` once and fill it eight bytes at a time. Either way the
+    /// bytes are those of the per-element loop.
+    fn encode_many(items: &[Self], out: &mut Vec<u8>)
+    where
+        Self: Sized,
+    {
+        for item in items {
+            item.encode(out);
+        }
+    }
+
     /// Convenience: encode into a fresh buffer.
     fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
@@ -327,6 +344,10 @@ impl WireEncode for u64 {
     fn encode(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&self.to_le_bytes());
     }
+
+    fn encode_many(items: &[Self], out: &mut Vec<u8>) {
+        encode_words(items, out, |&v| v);
+    }
 }
 
 impl WireDecode for u64 {
@@ -338,6 +359,10 @@ impl WireDecode for u64 {
 impl WireEncode for usize {
     fn encode(&self, out: &mut Vec<u8>) {
         (*self as u64).encode(out);
+    }
+
+    fn encode_many(items: &[Self], out: &mut Vec<u8>) {
+        encode_words(items, out, |&v| v as u64);
     }
 }
 
@@ -352,6 +377,10 @@ impl WireEncode for f64 {
     fn encode(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&self.to_bits().to_le_bytes());
     }
+
+    fn encode_many(items: &[Self], out: &mut Vec<u8>) {
+        encode_words(items, out, |v| v.to_bits());
+    }
 }
 
 impl WireDecode for f64 {
@@ -363,6 +392,10 @@ impl WireDecode for f64 {
 impl WireEncode for Fp61 {
     fn encode(&self, out: &mut Vec<u8>) {
         self.residue().encode(out);
+    }
+
+    fn encode_many(items: &[Self], out: &mut Vec<u8>) {
+        encode_words(items, out, |v| v.residue());
     }
 }
 
@@ -376,13 +409,17 @@ impl WireDecode for Fp61 {
     }
 
     fn decode_many(r: &mut Reader<'_>, n: usize, out: &mut Vec<Self>) -> Result<()> {
-        decode_residues(r, n, scec_linalg::fp::MODULUS, out, Fp61::new)
+        decode_residues::<_, { scec_linalg::fp::MODULUS }>(r, n, out, Fp61::new)
     }
 }
 
 impl<const P: u64> WireEncode for FpGeneric<P> {
     fn encode(&self, out: &mut Vec<u8>) {
         self.residue().encode(out);
+    }
+
+    fn encode_many(items: &[Self], out: &mut Vec<u8>) {
+        encode_words(items, out, |v| v.residue());
     }
 }
 
@@ -396,16 +433,33 @@ impl<const P: u64> WireDecode for FpGeneric<P> {
     }
 
     fn decode_many(r: &mut Reader<'_>, n: usize, out: &mut Vec<Self>) -> Result<()> {
-        decode_residues(r, n, P, out, FpGeneric::new)
+        decode_residues::<_, P>(r, n, out, FpGeneric::new)
     }
 }
 
-/// Shared bulk path for the fixed-width fields: one bounds check, one
-/// contiguous slice, `chunks_exact` over 8-byte residues.
-fn decode_residues<T>(
+/// Shared bulk encode for the fixed-width types: `out` is sized once and
+/// each item's 64-bit word lands little-endian in its own eight bytes.
+fn encode_words<T>(items: &[T], out: &mut Vec<u8>, word: impl Fn(&T) -> u64) {
+    let start = out.len();
+    out.resize(start + items.len() * 8, 0);
+    for (chunk, item) in out[start..].chunks_exact_mut(8).zip(items) {
+        chunk.copy_from_slice(&word(item).to_le_bytes());
+    }
+}
+
+/// Shared bulk decode for the fixed-width fields: one bounds check, one
+/// contiguous slice, `chunks_exact` over 8-byte residues written into
+/// place. The range check rides along as a flag — the pass has no exit —
+/// and a set flag leaves `out` as it was, naming the first offender.
+///
+/// `out` is sized before the pass and a residue is stored only behind
+/// its own comparison with the modulus, a constant: that is what lets
+/// `make`'s reduction fold away and keeps the loop a plain scalar one (a
+/// compare-and-select over 64-bit lanes, which is what `extend` turns
+/// into, costs three times as much on baseline x86-64).
+fn decode_residues<T: Clone, const MODULUS: u64>(
     r: &mut Reader<'_>,
     n: usize,
-    modulus: u64,
     out: &mut Vec<T>,
     make: impl Fn(u64) -> T,
 ) -> Result<()> {
@@ -413,23 +467,30 @@ fn decode_residues<T>(
         .checked_mul(8)
         .ok_or(Error::Malformed("element count overflow"))?;
     let raw = r.take(bytes)?;
-    out.reserve(n);
-    for chunk in raw.chunks_exact(8) {
+    let start = out.len();
+    out.resize(start + n, make(0));
+    let mut offender = None;
+    for (slot, chunk) in out[start..].iter_mut().zip(raw.chunks_exact(8)) {
         let v = u64::from_le_bytes(chunk.try_into().expect("8 bytes"));
-        if v >= modulus {
-            return Err(Error::InvalidFieldElement { raw: v });
+        if v < MODULUS {
+            *slot = make(v);
+        } else {
+            offender = offender.or(Some(v));
         }
-        out.push(make(v));
     }
-    Ok(())
+    match offender {
+        None => Ok(()),
+        Some(raw) => {
+            out.truncate(start);
+            Err(Error::InvalidFieldElement { raw })
+        }
+    }
 }
 
 impl<T: WireEncode> WireEncode for Vec<T> {
     fn encode(&self, out: &mut Vec<u8>) {
         self.len().encode(out);
-        for item in self {
-            item.encode(out);
-        }
+        T::encode_many(self, out);
     }
 }
 
@@ -446,9 +507,7 @@ impl<T: WireDecode> WireDecode for Vec<T> {
 impl<F: Scalar + WireEncode> WireEncode for Vector<F> {
     fn encode(&self, out: &mut Vec<u8>) {
         self.len().encode(out);
-        for v in self.as_slice() {
-            v.encode(out);
-        }
+        F::encode_many(self.as_slice(), out);
     }
 }
 
@@ -465,9 +524,7 @@ impl<F: Scalar + WireEncode> WireEncode for Matrix<F> {
     fn encode(&self, out: &mut Vec<u8>) {
         self.nrows().encode(out);
         self.ncols().encode(out);
-        for v in self.as_flat() {
-            v.encode(out);
-        }
+        F::encode_many(self.as_flat(), out);
     }
 }
 
@@ -866,6 +923,18 @@ pub mod stream {
         /// Bytes currently allocated for buffering.
         pub fn capacity(&self) -> usize {
             self.buf.capacity()
+        }
+
+        /// Gives back what a large frame grew the buffer by: with
+        /// nothing buffered the reader returns to its initial buffer,
+        /// otherwise — a frame, or part of one, is still waiting — this
+        /// does nothing. For the owner to call once it has consumed a
+        /// frame it expects no more of, a share install; the buffer
+        /// grows again if one does come.
+        pub fn release(&mut self) {
+            if self.pos == self.filled && self.buf.len() > INITIAL_READ_BUFFER {
+                *self = FrameReader::new(self.max_frame);
+            }
         }
 
         /// The next frame's payload: out of the buffer when it is

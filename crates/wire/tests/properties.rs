@@ -443,3 +443,274 @@ proptest! {
         prop_assert_eq!(out, wire);
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn release_returns_the_buffer_only_when_nothing_is_buffered(
+        seed in any::<u64>(),
+        frames in 0usize..8,
+        sizes in proptest::collection::vec(1usize..20_000, 1..6),
+    ) {
+        // A share-sized frame ahead of ordinary traffic, and a reader
+        // whose owner calls `release` after every frame it consumes.
+        let (mut payloads, _) = random_stream(seed, frames);
+        payloads.insert(0, vec![0xEE; 100_000]);
+        let mut wire = Vec::new();
+        for p in &payloads {
+            write_frame(&mut wire, p).unwrap();
+        }
+        for sizes in [&sizes[..], &[1], &[usize::MAX]] {
+            let mut reader = FrameReader::new(DEFAULT_MAX_FRAME);
+            let initial = reader.capacity();
+            let mut src = Chunked { data: &wire, sizes, reads: 0 };
+            let (mut got, mut consumed): (Vec<Vec<u8>>, usize) = (Vec::new(), 0);
+            loop {
+                match reader.next_frame(&mut src) {
+                    Ok(frame) => {
+                        consumed += LEN_PREFIX_BYTES + frame.len();
+                        got.push(frame.to_vec());
+                    }
+                    Err(e) => {
+                        prop_assert_eq!(ending(&e), End::Closed);
+                        break;
+                    }
+                }
+                // What the stream has handed over and no frame has used
+                // up is still in the buffer: a whole frame, or half of one.
+                let buffered = wire.len() - src.data.len() - consumed;
+                let before = reader.capacity();
+                reader.release();
+                if buffered == 0 {
+                    prop_assert_eq!(reader.capacity(), initial);
+                } else {
+                    prop_assert_eq!(reader.capacity(), before);
+                }
+            }
+            prop_assert_eq!(&got, &payloads);
+        }
+    }
+}
+
+/// The per-element codec, spelled out: what `encode_many` and
+/// `decode_many` must be indistinguishable from.
+fn encode_each<T: WireEncode>(xs: &[T], out: &mut Vec<u8>) {
+    for x in xs {
+        x.encode(out);
+    }
+}
+
+fn decode_each<T: WireDecode>(bytes: &[u8], n: usize) -> scec_wire::Result<(Vec<T>, usize)> {
+    let mut r = scec_wire::Reader::new(bytes);
+    let xs = (0..n)
+        .map(|_| T::decode(&mut r))
+        .collect::<scec_wire::Result<_>>()?;
+    Ok((xs, r.remaining()))
+}
+
+/// `words` as `n` little-endian residues, decoded in bulk behind `kept`:
+/// the same values, or the same error with `out` still just `kept`.
+fn assert_bulk_decode_is_the_loop<T>(words: &[u64], kept: &[T])
+where
+    T: WireDecode + PartialEq + std::fmt::Debug + Clone,
+{
+    let mut bytes = Vec::new();
+    u64::encode_many(words, &mut bytes);
+    bytes.extend_from_slice(&[0xA5; 3]);
+    let mut out = kept.to_vec();
+    let mut r = scec_wire::Reader::new(&bytes);
+    let bulk = T::decode_many(&mut r, words.len(), &mut out);
+    match decode_each::<T>(&bytes, words.len()) {
+        Ok((xs, remaining)) => {
+            assert_eq!(bulk, Ok(()));
+            assert_eq!(out, [kept, &xs[..]].concat());
+            assert_eq!(r.remaining(), remaining);
+        }
+        Err(e) => {
+            assert_eq!(bulk, Err(e));
+            assert_eq!(out, kept, "a rejected block leaves `out` as it was");
+        }
+    }
+    // Short by one byte, both refuse — whatever came before the cut.
+    let short = &bytes[..(words.len() * 8).saturating_sub(1)];
+    if !words.is_empty() {
+        let mut out = kept.to_vec();
+        let mut r = scec_wire::Reader::new(short);
+        assert!(T::decode_many(&mut r, words.len(), &mut out).is_err());
+        assert!(decode_each::<T>(short, words.len()).is_err());
+    }
+}
+
+/// One element type through the bulk codec at every length in
+/// `lengths`, on random words below `below`; `rejects` says whether the
+/// type refuses the words from `below` up (a field's modulus) or has no
+/// word it refuses.
+fn assert_bulk_codec_is_per_element<T>(
+    lengths: &[usize],
+    (below, rejects): (u64, bool),
+    make: impl Fn(u64) -> T,
+    rng: &mut rand::rngs::StdRng,
+) where
+    T: WireEncode + WireDecode + PartialEq + std::fmt::Debug + Clone,
+{
+    use rand::Rng;
+    let kept = [make(3), make(5)];
+    for &n in lengths {
+        let canonical: Vec<u64> = (0..n).map(|_| rng.gen_range(0..below)).collect();
+        let xs: Vec<T> = canonical.iter().map(|&w| make(w)).collect();
+        // Appended behind what the buffer already holds, byte for byte.
+        let (mut bulk, mut each) = (vec![0x5A; 5], vec![0x5A; 5]);
+        T::encode_many(&xs, &mut bulk);
+        encode_each(&xs, &mut each);
+        assert_eq!(bulk, each, "length {n}");
+        assert_eq!(bulk.len(), 5 + 8 * n);
+        assert_bulk_decode_is_the_loop(&canonical, &kept);
+        if !rejects || n == 0 {
+            continue;
+        }
+        // An offender first, in the middle, last, and several at once:
+        // the loop stops at the first one, and the bulk error names it.
+        let spots = [vec![0], vec![n / 2], vec![n - 1], vec![n - 1, n / 2, n / 3]];
+        for (round, spots) in spots.iter().enumerate() {
+            let mut words = canonical.clone();
+            for (i, &at) in spots.iter().enumerate() {
+                words[at] = match (round + i) % 3 {
+                    0 => below,
+                    1 => u64::MAX - i as u64,
+                    _ => below + rng.gen_range(1..1u64 << 40),
+                };
+            }
+            assert_bulk_decode_is_the_loop(&words, &kept);
+        }
+    }
+}
+
+#[test]
+fn bulk_codec_is_the_per_element_codec() {
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+    let mut rng = StdRng::seed_from_u64(17);
+    let mut lengths = vec![0usize, 1, 7, 8, 9];
+    lengths.extend((0..6).map(|_| rng.gen_range(10usize..4_000)));
+    let fp61 = (scec_linalg::fp::MODULUS, true);
+    assert_bulk_codec_is_per_element(&lengths, fp61, Fp61::new, &mut rng);
+    assert_bulk_codec_is_per_element(&lengths, (257, true), FpGeneric::<257>::new, &mut rng);
+    assert_bulk_codec_is_per_element(&lengths, (65537, true), FpGeneric::<65537>::new, &mut rng);
+    // Every word is a float and an index: nothing to reject. The floats
+    // stay below +inf's bit pattern, where each one equals itself.
+    let finite = (f64::INFINITY.to_bits(), false);
+    assert_bulk_codec_is_per_element(&lengths, finite, f64::from_bits, &mut rng);
+    assert_bulk_codec_is_per_element(&lengths, (u64::MAX, false), |w| w as usize, &mut rng);
+    println!("bulk codec: 5 fields x {} lengths compared", lengths.len());
+}
+
+/// Bytes from a hex literal; whitespace is layout.
+fn hex(literal: &str) -> Vec<u8> {
+    let digits: Vec<u8> = literal
+        .bytes()
+        .filter(|b| !b.is_ascii_whitespace())
+        .map(|b| (b as char).to_digit(16).expect("a hex digit") as u8)
+        .collect();
+    assert_eq!(digits.len() % 2, 0, "whole bytes");
+    digits.chunks_exact(2).map(|d| d[0] << 4 | d[1]).collect()
+}
+
+/// `value` frames to exactly `golden` under `tag`, and `golden` decodes
+/// back to it.
+fn assert_golden<T>(value: &T, tag: u16, golden: &str)
+where
+    T: WireEncode + WireDecode + PartialEq + std::fmt::Debug,
+{
+    let golden = hex(golden);
+    assert_eq!(encode_framed(value, tag), golden, "tag {tag}");
+    assert_eq!(
+        &decode_framed::<T>(&golden, tag).unwrap(),
+        value,
+        "tag {tag}"
+    );
+}
+
+/// The bytes of one small frame of every kind that carries field
+/// elements in bulk, written out: magic `SCEC`, version 1, the tag, then
+/// little-endian 64-bit words. The wire format is these literals; a
+/// codec change that moves one byte fails here.
+#[test]
+fn golden_frames() {
+    use scec_coding::{
+        DeviceShare, PanelPartialMsg, PanelQueryMsg, PartialMsg, QueryMsg, StragglerShare,
+    };
+    let top = scec_linalg::fp::MODULUS - 1;
+    let fp = |words: &[u64]| words.iter().map(|&w| Fp61::new(w)).collect::<Vec<_>>();
+    let matrix = |rows, cols, words: &[u64]| Matrix::from_flat(rows, cols, fp(words)).unwrap();
+
+    // device 2, first row 3, then a 2 x 2 matrix.
+    assert_golden(
+        &DeviceShare::from_parts(2, 3, matrix(2, 2, &[1, 2, 3, top])),
+        tag::DEVICE_SHARE,
+        "5343454301000300
+         0200000000000000 0300000000000000
+         0200000000000000 0200000000000000
+         0100000000000000 0200000000000000 0300000000000000 feffffffffffff1f",
+    );
+    // device 3, two row tags (7, 9), then a 2 x 1 matrix.
+    assert_golden(
+        &StragglerShare::from_parts(3, vec![7, 9], matrix(2, 1, &[5, 6])).unwrap(),
+        tag::STRAGGLER_SHARE,
+        "5343454301000400
+         0300000000000000
+         0200000000000000 0700000000000000 0900000000000000
+         0200000000000000 0100000000000000
+         0500000000000000 0600000000000000",
+    );
+    // request 5, a vector of three.
+    assert_golden(
+        &QueryMsg {
+            request: 5,
+            query: Vector::from_vec(fp(&[10, 11, 12])),
+        },
+        tag::QUERY,
+        "5343454301000500
+         0500000000000000
+         0300000000000000 0a00000000000000 0b00000000000000 0c00000000000000",
+    );
+    // request 6, a 2 x 2 panel.
+    assert_golden(
+        &PanelQueryMsg {
+            request: 6,
+            panel: matrix(2, 2, &[1, 0, 0, 1]),
+        },
+        tag::QUERY_PANEL,
+        "5343454301000700
+         0600000000000000
+         0200000000000000 0200000000000000
+         0100000000000000 0000000000000000 0000000000000000 0100000000000000",
+    );
+    // request 5, device 2, a vector of two.
+    assert_golden(
+        &PartialMsg {
+            request: 5,
+            device: 2,
+            value: Vector::from_vec(fp(&[top, 4])),
+        },
+        tag::PARTIAL,
+        "5343454301000600
+         0500000000000000 0200000000000000
+         0200000000000000 feffffffffffff1f 0400000000000000",
+    );
+    // request 6, device 2, two row tags (4, 5), then a 2 x 2 block.
+    assert_golden(
+        &PanelPartialMsg {
+            request: 6,
+            device: 2,
+            rows: vec![4, 5],
+            values: matrix(2, 2, &[8, 9, 10, 11]),
+        },
+        tag::PANEL_PARTIAL,
+        "5343454301000800
+         0600000000000000 0200000000000000
+         0200000000000000 0400000000000000 0500000000000000
+         0200000000000000 0200000000000000
+         0800000000000000 0900000000000000 0a00000000000000 0b00000000000000",
+    );
+    println!("golden frames: 6 matched");
+}
