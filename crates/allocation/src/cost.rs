@@ -14,8 +14,6 @@
 //! optimization. [`EdgeFleet`] reduces a fleet to the sorted unit-cost
 //! vector the algorithms work on, remembering the original device order.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::{Error, Result};
 
 /// Component resource prices of a single edge device.
@@ -31,7 +29,7 @@ use crate::error::{Error, Result};
 /// assert!((c - (101.0 * 0.01 + 100.0 * 0.002 + 99.0 * 0.001 + 0.5)).abs() < 1e-12);
 /// # Ok::<(), scec_allocation::Error>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DeviceCost {
     storage: f64,
     add: f64,
@@ -106,7 +104,7 @@ impl DeviceCost {
 /// The paper assumes WLOG `c_1 ≤ c_2 ≤ … ≤ c_k`; `EdgeFleet` enforces the
 /// sort and keeps the permutation so allocations can be mapped back to the
 /// caller's device identifiers.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EdgeFleet {
     /// Unit costs, ascending.
     sorted_costs: Vec<f64>,

@@ -1,7 +1,5 @@
 //! Allocation plans: who stores how many coded rows, and at what cost.
 
-use serde::{Deserialize, Serialize};
-
 use crate::cost::EdgeFleet;
 use crate::error::{Error, Result};
 
@@ -26,7 +24,7 @@ use crate::error::{Error, Result};
 /// assert_eq!(plan.total_cost(), 2.0 * 1.0 + 2.0 * 2.0 + 2.0 * 3.0);
 /// # Ok::<(), scec_allocation::Error>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AllocationPlan {
     m: usize,
     r: usize,

@@ -5,12 +5,16 @@
 //! exactly that, against arbitrary fleets and data sizes, with a brute
 //! force over the whole feasible range of `r` as ground truth.
 
-use proptest::prelude::*;
+use rand::{rngs::StdRng, Rng};
 use scec_allocation::{baselines, bound, cost::EdgeFleet, istar, ta, AllocationPlan};
 
-fn fleet_strategy() -> impl Strategy<Value = EdgeFleet> {
-    proptest::collection::vec(0.1f64..50.0, 2..20)
-        .prop_map(|costs| EdgeFleet::from_unit_costs(costs).expect("valid costs"))
+#[path = "../../../tests/support/sweep.rs"]
+mod sweep;
+use sweep::sweep;
+
+fn random_fleet(rng: &mut StdRng) -> EdgeFleet {
+    let costs = (0..rng.gen_range(2usize..20)).map(|_| rng.gen_range(0.1f64..50.0));
+    EdgeFleet::from_unit_costs(costs.collect()).expect("valid costs")
 }
 
 fn brute_force(m: usize, fleet: &EdgeFleet) -> f64 {
@@ -24,73 +28,92 @@ fn brute_force(m: usize, fleet: &EdgeFleet) -> f64 {
         .fold(f64::INFINITY, f64::min)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
-
-    #[test]
-    fn ta1_ta2_brute_force_agree(fleet in fleet_strategy(), m in 1usize..200) {
-        let p1 = ta::ta1(m, &fleet).unwrap();
-        let p2 = ta::ta2(m, &fleet).unwrap();
+#[test]
+fn ta1_ta2_brute_force_agree() {
+    sweep(128, |rng| {
+        let fleet = random_fleet(rng);
+        let m = rng.gen_range(1usize..200);
+        let p1 = ta::ta1(m, &fleet).unwrap().total_cost();
+        let p2 = ta::ta2(m, &fleet).unwrap().total_cost();
         let bf = brute_force(m, &fleet);
         let tol = 1e-9 * (1.0 + bf.abs());
-        prop_assert!((p1.total_cost() - bf).abs() < tol,
-            "TA1 {} vs brute force {}", p1.total_cost(), bf);
-        prop_assert!((p2.total_cost() - bf).abs() < tol,
-            "TA2 {} vs brute force {}", p2.total_cost(), bf);
-    }
+        assert!((p1 - bf).abs() < tol, "TA1 {p1} vs brute force {bf}");
+        assert!((p2 - bf).abs() < tol, "TA2 {p2} vs brute force {bf}");
+    });
+}
 
-    #[test]
-    fn optimum_dominates_lower_bound(fleet in fleet_strategy(), m in 1usize..200) {
+#[test]
+fn optimum_dominates_lower_bound() {
+    sweep(128, |rng| {
+        let fleet = random_fleet(rng);
+        let m = rng.gen_range(1usize..200);
         let lb = bound::lower_bound(m, &fleet).unwrap();
         let opt = ta::ta1(m, &fleet).unwrap().total_cost();
-        prop_assert!(opt >= lb - 1e-9 * (1.0 + lb.abs()),
-            "optimum {opt} below bound {lb}");
+        assert!(
+            opt >= lb - 1e-9 * (1.0 + lb.abs()),
+            "optimum {opt} below bound {lb}"
+        );
         // Corollary 1: exact achievement under divisibility.
         if bound::is_achievable(m, &fleet).unwrap() {
-            prop_assert!((opt - lb).abs() < 1e-9 * (1.0 + lb.abs()),
-                "divisible case must meet the bound: {opt} vs {lb}");
+            assert!(
+                (opt - lb).abs() < 1e-9 * (1.0 + lb.abs()),
+                "divisible case must meet the bound: {opt} vs {lb}"
+            );
         }
-    }
+    });
+}
 
-    #[test]
-    fn plans_are_well_formed(fleet in fleet_strategy(), m in 1usize..200) {
+#[test]
+fn plans_are_well_formed() {
+    sweep(128, |rng| {
+        let fleet = random_fleet(rng);
+        let m = rng.gen_range(1usize..200);
         for plan in [ta::ta1(m, &fleet).unwrap(), ta::ta2(m, &fleet).unwrap()] {
             let r = plan.random_rows();
-            prop_assert!(r >= 1 && r <= m);
-            prop_assert!(r >= m.div_ceil(fleet.len() - 1));
-            prop_assert_eq!(plan.total_rows(), m + r);
-            prop_assert!(plan.satisfies_security_cap());
-            prop_assert!(plan.device_count() >= 2);
-            prop_assert!(plan.device_count() <= fleet.len());
+            assert!(r >= 1 && r <= m);
+            assert!(r >= m.div_ceil(fleet.len() - 1));
+            assert_eq!(plan.total_rows(), m + r);
+            assert!(plan.satisfies_security_cap());
+            assert!(plan.device_count() >= 2);
+            assert!(plan.device_count() <= fleet.len());
             // Canonical shape of Lemma 2: all-but-last loads equal r.
             let loads = plan.loads();
-            prop_assert!(loads[..loads.len() - 1].iter().all(|&v| v == r));
-            prop_assert!(*loads.last().unwrap() >= 1);
+            assert!(loads[..loads.len() - 1].iter().all(|&v| v == r));
+            assert!(*loads.last().unwrap() >= 1);
             // Cached cost is consistent with the fleet.
-            prop_assert!((plan.recompute_cost(&fleet) - plan.total_cost()).abs()
-                < 1e-9 * (1.0 + plan.total_cost().abs()));
+            assert!(
+                (plan.recompute_cost(&fleet) - plan.total_cost()).abs()
+                    < 1e-9 * (1.0 + plan.total_cost().abs())
+            );
         }
-    }
+    });
+}
 
-    #[test]
-    fn secure_baselines_never_beat_the_optimum(
-        fleet in fleet_strategy(),
-        m in 1usize..200,
-        seed in any::<u64>(),
-    ) {
-        use rand::{rngs::StdRng, SeedableRng};
+#[test]
+fn secure_baselines_never_beat_the_optimum() {
+    sweep(128, |rng| {
+        let fleet = random_fleet(rng);
+        let m = rng.gen_range(1usize..200);
         let opt = ta::ta1(m, &fleet).unwrap().total_cost();
         let tol = 1e-9 * (1.0 + opt.abs());
-        let mut rng = StdRng::seed_from_u64(seed);
-        prop_assert!(baselines::max_node(m, &fleet).unwrap().total_cost() >= opt - tol);
-        prop_assert!(baselines::min_node(m, &fleet).unwrap().total_cost() >= opt - tol);
-        prop_assert!(baselines::r_node(m, &fleet, &mut rng).unwrap().total_cost() >= opt - tol);
+        assert!(baselines::max_node(m, &fleet).unwrap().total_cost() >= opt - tol);
+        assert!(baselines::min_node(m, &fleet).unwrap().total_cost() >= opt - tol);
+        assert!(baselines::r_node(m, &fleet, rng).unwrap().total_cost() >= opt - tol);
         // The insecure floor is never above the secure optimum.
-        prop_assert!(baselines::ta_without_security(m, &fleet).unwrap().total_cost() <= opt + tol);
-    }
+        assert!(
+            baselines::ta_without_security(m, &fleet)
+                .unwrap()
+                .total_cost()
+                <= opt + tol
+        );
+    });
+}
 
-    #[test]
-    fn cost_is_unimodal_in_r(fleet in fleet_strategy(), m in 1usize..150) {
+#[test]
+fn cost_is_unimodal_in_r() {
+    sweep(128, |rng| {
+        let fleet = random_fleet(rng);
+        let m = rng.gen_range(1usize..150);
         // Theorem 4's structure: non-increasing up to the optimum region,
         // non-decreasing after. Verify no strict local minimum other than
         // the global one (allowing plateaus).
@@ -103,37 +126,50 @@ proptest! {
         // Find the first and last index attaining the minimum; the cost
         // must be non-increasing before and non-decreasing after.
         let first = costs.iter().position(|&c| (c - best).abs() <= eps).unwrap();
-        let last = costs.iter().rposition(|&c| (c - best).abs() <= eps).unwrap();
+        let last = costs
+            .iter()
+            .rposition(|&c| (c - best).abs() <= eps)
+            .unwrap();
         for w in costs[..=first].windows(2) {
-            prop_assert!(w[1] <= w[0] + eps, "not non-increasing before optimum");
+            assert!(w[1] <= w[0] + eps, "not non-increasing before optimum");
         }
         for w in costs[last..].windows(2) {
-            prop_assert!(w[1] >= w[0] - eps, "not non-decreasing after optimum");
+            assert!(w[1] >= w[0] - eps, "not non-decreasing after optimum");
         }
-    }
+    });
+}
 
-    #[test]
-    fn plans_stay_inside_the_feasibility_region(fleet in fleet_strategy(), m in 1usize..200) {
+#[test]
+fn plans_stay_inside_the_feasibility_region() {
+    sweep(128, |rng| {
+        let fleet = random_fleet(rng);
+        let m = rng.gen_range(1usize..200);
         // Theorem 2's feasible range, per chosen (i, r): availability
         // needs any i-1 devices to recover all m+r rows, which under the
         // Lemma-1 cap V(B_j) ≤ r forces (i-1)·r ≥ m.
         for plan in [ta::ta1(m, &fleet).unwrap(), ta::ta2(m, &fleet).unwrap()] {
             let (i, r) = (plan.device_count(), plan.random_rows());
-            prop_assert!((i - 1) * r >= m, "infeasible (i={i}, r={r}) for m={m}");
-            prop_assert!(plan.loads().iter().all(|&v| v <= r), "load above the security cap");
+            assert!((i - 1) * r >= m, "infeasible (i={i}, r={r}) for m={m}");
+            assert!(
+                plan.loads().iter().all(|&v| v <= r),
+                "load above the security cap"
+            );
         }
-    }
+    });
+}
 
-    #[test]
-    fn istar_is_consistent_with_its_definition(fleet in fleet_strategy()) {
+#[test]
+fn istar_is_consistent_with_its_definition() {
+    sweep(128, |rng| {
+        let fleet = random_fleet(rng);
         let star = istar::i_star(&fleet);
-        prop_assert!(star >= 2 && star <= fleet.len());
+        assert!(star >= 2 && star <= fleet.len());
         // Defining property: predicate holds at i*, fails for every larger i.
-        prop_assert!(istar::predicate(&fleet, star));
+        assert!(istar::predicate(&fleet, star));
         for i in (star + 1)..=fleet.len() {
-            prop_assert!(!istar::predicate(&fleet, i));
+            assert!(!istar::predicate(&fleet, i));
         }
-    }
+    });
 }
 
 /// Hand-computed optimal instances, pinned so a regression in TA-1/TA-2

@@ -16,7 +16,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bench;
 pub mod commands;
 pub mod csv;
 pub mod error;

@@ -22,7 +22,6 @@ USAGE:
               [--metrics-out PATH] [--trace-out PATH] [--scenario NAME]
               [--devices N] [--queries Q] [--list-scenarios true]
   scec metrics [--devices N] [--queries Q] [--seed N] [--format prometheus|json]
-  scec bench  [--out DIR] [--iters N] [--index N] [--quick true]
   scec serve  [--addr HOST:PORT] [--max-tenants N] [--once true]
               [--obs-addr HOST:PORT]
   scec load   [--addr HOST:PORT] [--tenants N] [--queries Q] [--panel W]
@@ -315,24 +314,6 @@ fn run() -> Result<(), Error> {
             }
             options.trace_out = args.flags.get("trace-out").map(PathBuf::from);
             print!("{}", commands::load(&options)?);
-        }
-        "bench" => {
-            let mut opts = scec_cli::bench::BenchOptions::default();
-            if let Some(dir) = args.flags.get("out") {
-                opts.out_dir = PathBuf::from(dir);
-            }
-            if args.flags.contains_key("iters") {
-                opts.iters = args.get_usize("iters")?;
-            }
-            if args.flags.contains_key("index") {
-                opts.index = Some(args.get_usize("index")?);
-            }
-            if let Some(v) = args.flags.get("quick") {
-                opts.quick = v
-                    .parse()
-                    .map_err(|e| Error::Usage(format!("bad --quick: {e}")))?;
-            }
-            print!("{}", scec_cli::bench::run(&opts)?);
         }
         other => {
             return Err(Error::Usage(format!("unknown command {other:?}")));

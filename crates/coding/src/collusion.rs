@@ -22,8 +22,8 @@
 //!
 //! The price of collusion resistance is decoding cost: recovery becomes
 //! one `r × r` solve plus `m` length-`r` dot products, instead of the
-//! single-device design's `m` subtractions — quantified by the
-//! `collusion_ablation` bench.
+//! single-device design's `m` subtractions — quantified by ablation A6
+//! (`scec_experiments::ablation::collusion_cost`).
 
 use rand::Rng;
 

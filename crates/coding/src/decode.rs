@@ -9,7 +9,7 @@
 //! * [`decode_general`] — the generic Gaussian-elimination path that works
 //!   for *any* full-rank encoding matrix, at O((m+r)³) cost. This is both
 //!   the paper's fallback (Sec. II-A) and the baseline of the decoding
-//!   ablation bench.
+//!   ablation (A1 in `DESIGN.md`).
 
 use scec_linalg::{gauss, Matrix, Scalar, Vector};
 
@@ -164,8 +164,8 @@ pub fn decode_fast_batch<F: Scalar>(design: &CodeDesign, btx: &Matrix<F>) -> Res
 }
 
 /// The number of scalar subtractions [`decode_fast`] performs — exposed so
-/// benches and the experiment harness can report decoding complexity
-/// alongside wall-clock time.
+/// the experiment harness can report decoding complexity alongside
+/// wall-clock time.
 pub fn fast_decode_op_count(design: &CodeDesign) -> usize {
     design.data_rows()
 }

@@ -1,7 +1,5 @@
 //! The structured encoding coefficient matrix of Eq. (8).
 
-use serde::{Deserialize, Serialize};
-
 use scec_linalg::{Matrix, Scalar};
 
 use crate::error::{Error, Result};
@@ -27,7 +25,7 @@ use crate::error::{Error, Result};
 /// assert_eq!(d.total_rows(), 7);
 /// # Ok::<(), scec_coding::Error>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct CodeDesign {
     m: usize,
     r: usize,

@@ -22,7 +22,7 @@
 //! ([`decode::decode_fast`]) instead of a full Gaussian elimination
 //! ([`decode::decode_general`]), which this crate also provides — both as
 //! the paper's generic fallback and as the baseline for the decoding
-//! ablation bench.
+//! ablation (A1 in `DESIGN.md`).
 //!
 //! # Example: end-to-end encode → compute → decode
 //!

@@ -5,52 +5,57 @@
 //! correctness of the O(m) decoder, and its agreement with the generic
 //! Gaussian-elimination decoder.
 
-use proptest::prelude::*;
-use rand::{rngs::StdRng, SeedableRng};
+use rand::{rngs::StdRng, Rng};
 use scec_coding::{decode, design::CodeDesign, encode::Encoder, plan::DecodePlan, verify};
 use scec_linalg::{Fp61, Matrix, Vector};
 
-/// Strategy over valid (m, r) pairs with bounded size.
-fn design_params() -> impl Strategy<Value = (usize, usize)> {
-    (1usize..20).prop_flat_map(|m| (Just(m), 1usize..=m))
+#[path = "../../../tests/support/sweep.rs"]
+mod sweep;
+use sweep::sweep;
+
+/// A valid (m, r) pair of bounded size.
+fn design_params(rng: &mut StdRng) -> (usize, usize) {
+    let m = rng.gen_range(1usize..20);
+    (m, rng.gen_range(1usize..=m))
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn structured_b_is_always_available_and_secure((m, r) in design_params()) {
+#[test]
+fn structured_b_is_always_available_and_secure() {
+    sweep(64, |rng| {
+        let (m, r) = design_params(rng);
         let design = CodeDesign::new(m, r).unwrap();
         let b = design.encoding_matrix::<Fp61>();
         let report = verify::verify(&design, &b).unwrap();
-        prop_assert!(report.is_valid(), "m={m} r={r}: {:?}", report);
-    }
+        assert!(report.is_valid(), "m={m} r={r}: {report:?}");
+    });
+}
 
-    #[test]
-    fn device_loads_match_lemma_2((m, r) in design_params()) {
+#[test]
+fn device_loads_match_lemma_2() {
+    sweep(64, |rng| {
+        let (m, r) = design_params(rng);
         let design = CodeDesign::new(m, r).unwrap();
         let i = design.device_count();
-        prop_assert_eq!(i, (m + r).div_ceil(r));
+        assert_eq!(i, (m + r).div_ceil(r));
         for j in 1..i {
-            prop_assert_eq!(design.device_load(j).unwrap(), r);
+            assert_eq!(design.device_load(j).unwrap(), r);
         }
         let last = design.device_load(i).unwrap();
-        prop_assert!(last >= 1 && last <= r);
+        assert!(last >= 1 && last <= r);
         let total: usize = (1..=i).map(|j| design.device_load(j).unwrap()).sum();
-        prop_assert_eq!(total, m + r);
-    }
+        assert_eq!(total, m + r);
+    });
+}
 
-    #[test]
-    fn encode_compute_decode_roundtrip_fp61(
-        (m, r) in design_params(),
-        l in 1usize..8,
-        seed in any::<u64>(),
-    ) {
-        let mut rng = StdRng::seed_from_u64(seed);
+#[test]
+fn encode_compute_decode_roundtrip_fp61() {
+    sweep(64, |rng| {
+        let (m, r) = design_params(rng);
+        let l = rng.gen_range(1usize..8);
         let design = CodeDesign::new(m, r).unwrap();
-        let a = Matrix::<Fp61>::random(m, l, &mut rng);
-        let x = Vector::<Fp61>::random(l, &mut rng);
-        let store = Encoder::new(design.clone()).encode(&a, &mut rng).unwrap();
+        let a = Matrix::<Fp61>::random(m, l, rng);
+        let x = Vector::<Fp61>::random(l, rng);
+        let store = Encoder::new(design.clone()).encode(&a, rng).unwrap();
         let partials: Vec<Vector<Fp61>> = store
             .shares()
             .iter()
@@ -58,20 +63,19 @@ proptest! {
             .collect();
         let btx = decode::stack_partials(&partials);
         let y = decode::decode_fast(&design, &btx).unwrap();
-        prop_assert_eq!(y, a.matvec(&x).unwrap());
-    }
+        assert_eq!(y, a.matvec(&x).unwrap());
+    });
+}
 
-    #[test]
-    fn fast_and_general_decoders_agree(
-        (m, r) in design_params(),
-        seed in any::<u64>(),
-    ) {
-        let mut rng = StdRng::seed_from_u64(seed);
+#[test]
+fn fast_and_general_decoders_agree() {
+    sweep(64, |rng| {
+        let (m, r) = design_params(rng);
         let design = CodeDesign::new(m, r).unwrap();
         let l = 3;
-        let a = Matrix::<Fp61>::random(m, l, &mut rng);
-        let x = Vector::<Fp61>::random(l, &mut rng);
-        let store = Encoder::new(design.clone()).encode(&a, &mut rng).unwrap();
+        let a = Matrix::<Fp61>::random(m, l, rng);
+        let x = Vector::<Fp61>::random(l, rng);
+        let store = Encoder::new(design.clone()).encode(&a, rng).unwrap();
         let partials: Vec<Vector<Fp61>> = store
             .shares()
             .iter()
@@ -81,34 +85,34 @@ proptest! {
         let fast = decode::decode_fast(&design, &btx).unwrap();
         let b = design.encoding_matrix::<Fp61>();
         let general = decode::decode_general(&design, &b, &btx).unwrap();
-        prop_assert_eq!(fast, general);
-    }
+        assert_eq!(fast, general);
+    });
+}
 
-    #[test]
-    fn densified_codes_stay_valid_and_decodable(
-        m in 2usize..10,
-        seed in any::<u64>(),
-    ) {
-        let mut rng = StdRng::seed_from_u64(seed);
+#[test]
+fn densified_codes_stay_valid_and_decodable() {
+    sweep(64, |rng| {
+        let m = rng.gen_range(2usize..10);
         let r = 1 + m / 2;
         let design = CodeDesign::new(m, r).unwrap();
-        let dense = verify::densify::<Fp61, _>(&design, &mut rng);
-        prop_assert!(verify::verify(&design, &dense).unwrap().is_valid());
+        let dense = verify::densify::<Fp61, _>(&design, rng);
+        assert!(verify::verify(&design, &dense).unwrap().is_valid());
         // Decodable end to end via the general decoder.
         let l = 2;
-        let a = Matrix::<Fp61>::random(m, l, &mut rng);
-        let randomness = Matrix::<Fp61>::random(r, l, &mut rng);
+        let a = Matrix::<Fp61>::random(m, l, rng);
+        let randomness = Matrix::<Fp61>::random(r, l, rng);
         let t = a.vstack(&randomness).unwrap();
-        let x = Vector::<Fp61>::random(l, &mut rng);
+        let x = Vector::<Fp61>::random(l, rng);
         let btx = dense.matmul(&t).unwrap().matvec(&x).unwrap();
         let y = decode::decode_general(&design, &dense, &btx).unwrap();
-        prop_assert_eq!(y, a.matvec(&x).unwrap());
-    }
+        assert_eq!(y, a.matvec(&x).unwrap());
+    });
+}
 
-    #[test]
-    fn per_device_randomness_is_never_reused(
-        (m, r) in design_params(),
-    ) {
+#[test]
+fn per_device_randomness_is_never_reused() {
+    sweep(64, |rng| {
+        let (m, r) = design_params(rng);
         // The structural reason the design is secure: within one device,
         // every coded row mixes a DISTINCT random row.
         let design = CodeDesign::new(m, r).unwrap();
@@ -116,110 +120,114 @@ proptest! {
             let range = design.device_row_range(j).unwrap();
             let mut used = std::collections::HashSet::new();
             for row in range {
-                prop_assert!(
+                assert!(
                     used.insert(design.random_row_of(row)),
                     "device {j} reuses a random row"
                 );
             }
         }
-    }
+    });
+}
 
-    #[test]
-    fn blinding_changes_every_coded_data_row(
-        (m, r) in design_params(),
-        l in 1usize..5,
-        seed in any::<u64>(),
-    ) {
+#[test]
+fn blinding_changes_every_coded_data_row() {
+    sweep(64, |rng| {
+        let (m, r) = design_params(rng);
+        let l = rng.gen_range(1usize..5);
         // Over a 2^61 field, a coded row equals the raw data row only with
         // probability 2^-61: check the blinding is actually applied.
-        let mut rng = StdRng::seed_from_u64(seed);
         let design = CodeDesign::new(m, r).unwrap();
-        let a = Matrix::<Fp61>::random(m, l, &mut rng);
-        let store = Encoder::new(design.clone()).encode(&a, &mut rng).unwrap();
+        let a = Matrix::<Fp61>::random(m, l, rng);
+        let store = Encoder::new(design.clone()).encode(&a, rng).unwrap();
         let stacked = store.stacked();
         for p in 0..m {
             let coded = stacked.row(r + p);
             let raw = a.row(p);
-            prop_assert_ne!(coded, raw, "row {} left unblinded", p);
+            assert_ne!(coded, raw, "row {p} left unblinded");
         }
-    }
+    });
+}
 
-    #[test]
-    fn panel_decode_matches_per_query_decodes_fp61(
-        (m, r) in design_params(),
-        k in 1usize..9,
-        seed in any::<u64>(),
-    ) {
+#[test]
+fn panel_decode_matches_per_query_decodes_fp61() {
+    sweep(64, |rng| {
+        let (m, r) = design_params(rng);
+        let k = rng.gen_range(1usize..9);
         // Decoding an n × k panel in one multi-RHS elimination must be
         // bit-identical to decoding its k columns one by one — including
         // the ragged widths (k = 1, k = window) the panel pipeline emits
         // for tail flushes.
-        let mut rng = StdRng::seed_from_u64(seed);
         let design = CodeDesign::new(m, r).unwrap();
         let n = design.total_rows();
-        for b in [design.encoding_matrix::<Fp61>(), verify::densify(&design, &mut rng)] {
+        for b in [
+            design.encoding_matrix::<Fp61>(),
+            verify::densify(&design, rng),
+        ] {
             let mut plan = DecodePlan::new(&design, &b).unwrap();
-            let btx = Matrix::<Fp61>::random(n, k, &mut rng);
+            let btx = Matrix::<Fp61>::random(n, k, rng);
             let panel = plan.decode_panel(&btx).unwrap();
-            prop_assert_eq!(panel.shape(), (m, k));
+            assert_eq!(panel.shape(), (m, k));
             for j in 0..k {
                 let single = plan.decode(&btx.col(j)).unwrap();
-                prop_assert_eq!(
-                    panel.col(j).as_slice(), single.as_slice(),
-                    "m={} r={} k={} col {}", m, r, k, j
+                assert_eq!(
+                    panel.col(j).as_slice(),
+                    single.as_slice(),
+                    "m={m} r={r} k={k} col {j}"
                 );
             }
         }
-    }
+    });
+}
 
-    #[test]
-    fn panel_decode_matches_per_query_decodes_f64(
-        (m, r) in design_params(),
-        k in 1usize..9,
-        seed in any::<u64>(),
-    ) {
+#[test]
+fn panel_decode_matches_per_query_decodes_f64() {
+    sweep(64, |rng| {
+        let (m, r) = design_params(rng);
+        let k = rng.gen_range(1usize..9);
         // Same agreement over the reals: the cached LU applies the exact
         // same factor sequence to every right-hand side, so panel and
         // per-query decodes agree to the last bit even though f64
         // arithmetic is not associative.
-        let mut rng = StdRng::seed_from_u64(seed);
         let design = CodeDesign::new(m, r).unwrap();
         let n = design.total_rows();
         let b = design.encoding_matrix::<f64>();
         let mut plan = DecodePlan::new(&design, &b).unwrap();
-        let btx = Matrix::<f64>::random(n, k, &mut rng);
+        let btx = Matrix::<f64>::random(n, k, rng);
         let panel = plan.decode_panel(&btx).unwrap();
-        prop_assert_eq!(panel.shape(), (m, k));
+        assert_eq!(panel.shape(), (m, k));
         for j in 0..k {
             let single = plan.decode(&btx.col(j)).unwrap();
             for p in 0..m {
-                prop_assert_eq!(
-                    panel.at(p, j).to_bits(), single.at(p).to_bits(),
-                    "m={} r={} k={} col {} row {}", m, r, k, j, p
+                assert_eq!(
+                    panel.at(p, j).to_bits(),
+                    single.at(p).to_bits(),
+                    "m={m} r={r} k={k} col {j} row {p}"
                 );
             }
         }
-    }
+    });
+}
 
-    #[test]
-    fn decode_plan_matches_per_query_elimination(
-        (m, r) in design_params(),
-        seed in any::<u64>(),
-    ) {
+#[test]
+fn decode_plan_matches_per_query_elimination() {
+    sweep(64, |rng| {
+        let (m, r) = design_params(rng);
         // The cached LU plan must agree bit-for-bit with the fresh
         // `gauss::solve`-based elimination on every query, for both the
         // structured B of Eq. (8) and a dense secure variant — including
         // the edge shapes (m = 1, r = m) the strategy generates.
-        let mut rng = StdRng::seed_from_u64(seed);
         let design = CodeDesign::new(m, r).unwrap();
         let n = design.total_rows();
-        for b in [design.encoding_matrix::<Fp61>(), verify::densify(&design, &mut rng)] {
+        for b in [
+            design.encoding_matrix::<Fp61>(),
+            verify::densify(&design, rng),
+        ] {
             let mut plan = DecodePlan::new(&design, &b).unwrap();
             for _ in 0..3 {
-                let btx = Vector::<Fp61>::random(n, &mut rng);
+                let btx = Vector::<Fp61>::random(n, rng);
                 let want = decode::decode_general(&design, &b, &btx).unwrap();
-                prop_assert_eq!(plan.decode(&btx).unwrap(), want, "m={} r={}", m, r);
+                assert_eq!(plan.decode(&btx).unwrap(), want, "m={m} r={r}");
             }
         }
-    }
+    });
 }

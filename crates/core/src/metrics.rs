@@ -11,12 +11,10 @@
 //! which the tests assert. The experiment harness uses these to report
 //! *measured* usage next to the allocation layer's *predicted* cost.
 
-use serde::{Deserialize, Serialize};
-
 use scec_allocation::DeviceCost;
 
 /// Resource usage of a single device for one query.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ResourceUsage {
     /// Field elements resident on the device (`l + V·l + V`).
     pub stored_elements: usize,
@@ -60,7 +58,7 @@ impl ResourceUsage {
 }
 
 /// Usage across a whole deployment, with the user-side decode work.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct SystemUsage {
     /// Per-device usage, in device order (cheapest first).
     pub per_device: Vec<ResourceUsage>,

@@ -1860,22 +1860,34 @@ mod tests {
 
     #[test]
     fn byzantine_device_is_quarantined_and_repaired_around() {
-        // Find a chaos seed whose plan includes a Byzantine device; the
-        // run must quarantine it and still satisfy every oracle.
+        // Every chaos seed whose plan includes a Byzantine device must
+        // satisfy every oracle, and some of them must quarantine it and
+        // repair around it. Which seeds those are depends on the linked
+        // `rand`'s stream, so none is singled out.
         let config = DstConfig::chaos();
         let pool = 5 + config.spare_devices;
-        let seed = (0..200)
-            .find(|&s| {
-                ChaosPlan::generate(pool, config.intensity, s)
-                    .faults
-                    .iter()
-                    .any(|f| matches!(f, ChaosFault::Byzantine))
-            })
-            .expect("some seed draws a Byzantine fault");
-        let report = Simulation::new(config, seed).unwrap().run();
-        assert!(report.is_clean(), "{}", report.render());
-        assert!(report.quarantined >= 1, "{}", report.render());
-        assert!(report.repairs >= 1, "{}", report.render());
+        let byzantine = (0..200u64).filter(|&s| {
+            ChaosPlan::generate(pool, config.intensity, s)
+                .faults
+                .iter()
+                .any(|f| matches!(f, ChaosFault::Byzantine))
+        });
+        let (mut drew, mut clean, mut repaired) = (0, 0, 0);
+        for seed in byzantine {
+            let report = Simulation::new(config.clone(), seed).unwrap().run();
+            drew += 1;
+            if report.is_clean() {
+                clean += 1;
+            } else {
+                println!("seed {seed}: {}", report.render());
+            }
+            repaired += usize::from(report.quarantined >= 1 && report.repairs >= 1);
+        }
+        println!(
+            "byzantine sweep: {drew} seeds draw one, {clean} clean, {repaired} quarantine and repair"
+        );
+        assert_eq!(clean, drew, "a run with a Byzantine device broke an oracle");
+        assert!(repaired >= 1, "no run quarantined and repaired");
     }
 
     #[test]

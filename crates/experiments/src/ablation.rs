@@ -6,8 +6,8 @@
 //!   `r` concentrates it.
 //! * [`decode_complexity`] (A1, analytic half) — operation counts of the
 //!   structured O(m) decoder vs generic Gaussian elimination
-//!   (≈ (m+r)³/3 multiply-adds); the wall-clock half lives in the
-//!   criterion bench `decode_ablation`.
+//!   (≈ (m+r)³/3 multiply-adds); the wall-clock half is
+//!   [`crate::throughput`]'s two decoder columns.
 
 use scec_coding::CodeDesign;
 use scec_sim::event::{DeviceProfile, NetworkModel, ProtocolSimulator};

@@ -8,13 +8,11 @@
 //!   premium over TAw/oS stays below ≈ 26% / 19% / 14% / 36% / 48% across
 //!   the m / k / µ / c_max / σ sweeps.
 
-use serde::{Deserialize, Serialize};
-
 use crate::figures::Sweep;
 use crate::table::{fmt_f64, Table};
 
 /// Relative gaps at one sweep point, as fractions (0.26 = 26%).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GapReport {
     /// The swept parameter's value.
     pub param: f64,
@@ -76,7 +74,7 @@ pub fn gaps_table(sweep: &Sweep) -> Table {
 
 /// Verdicts on the paper's headline claims, judged on the *last* (largest)
 /// point of each sweep as the paper's "sufficiently large" reading.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClaimVerdicts {
     /// T1: final-point gap to the lower bound, per sweep id.
     pub lb_gap_at_largest: Vec<(String, f64)>,

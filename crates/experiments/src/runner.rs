@@ -2,17 +2,16 @@
 //!
 //! Every point of every figure is the average of `instances` random
 //! fleets. Instances are sharded deterministically across worker threads
-//! (crossbeam scoped threads), so results are identical regardless of the
+//! (`std::thread::scope`), so results are identical regardless of the
 //! machine's core count.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use scec_allocation::{baselines, bound, ta, EdgeFleet};
 use scec_sim::{CostDistribution, InstanceGenerator};
 
 /// Mean total cost of each curve at one sweep point.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct AlgoCosts {
     /// Theorem 1's lower bound `c^L` (not an algorithm — a floor).
     pub lower_bound: f64,
@@ -130,11 +129,11 @@ impl MonteCarlo {
             .collect();
 
         let mut total = AlgoCosts::default();
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             let handles: Vec<_> = shards
                 .into_iter()
                 .map(|(count, mut gen)| {
-                    scope.spawn(move |_| {
+                    scope.spawn(move || {
                         let mut acc = AlgoCosts::default();
                         for _ in 0..count {
                             let fleet = gen.fleet(k, dist);
@@ -148,8 +147,7 @@ impl MonteCarlo {
             for h in handles {
                 total.accumulate(&h.join().expect("worker panicked"));
             }
-        })
-        .expect("scope panicked");
+        });
         total.scale_down(self.instances as f64);
         total
     }

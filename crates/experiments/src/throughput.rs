@@ -1,7 +1,7 @@
 //! Wall-clock throughput of the pipeline stages.
 //!
-//! Criterion gives statistically careful numbers (see `crates/bench`);
-//! this module gives the *table* version for `EXPERIMENTS.md`: one pass
+//! The *table* version for `EXPERIMENTS.md` (the repo benchmark in
+//! `/benchmark` is where performance claims are refereed): one pass
 //! over an `m`-grid timing encode, device compute, and both decoders, in
 //! the same process. It also grounds the paper's motivation that linear
 //! coding beats homomorphic encryption by orders of magnitude: the

@@ -12,7 +12,6 @@ use std::iter::{Product, Sum};
 use std::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Sub, SubAssign};
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::scalar::Scalar;
 
@@ -52,8 +51,7 @@ const FOLD_ZERO: u128 = (1u128 << 122) - 1;
 /// assert_eq!((a * b).residue(), 21);
 /// assert_eq!((a / b) * b, a);
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Default)]
 #[repr(transparent)] // the simd kernels reinterpret &[Fp61] as &[u64]
 pub struct Fp61(u64);
 
@@ -136,8 +134,8 @@ impl Fp61 {
     /// The portable scalar lazy dot kernel: unreduced `u128` accumulation
     /// in four ILP lanes with one wide reduction per [`LAZY_BLOCK`]
     /// products. This is the dispatch fallback of
-    /// [`Scalar::dot_slices`]; it is public so benches and agreement
-    /// tests can pin the scalar path explicitly (see [`crate::simd`]).
+    /// [`Scalar::dot_slices`]; it is public so agreement tests can pin
+    /// the scalar path explicitly (see [`crate::simd`]).
     ///
     /// # Panics
     ///

@@ -17,7 +17,6 @@
 use std::fmt;
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::scalar::Scalar;
 
@@ -42,8 +41,7 @@ use crate::scalar::Scalar;
 /// assert_eq!((a + b).residue(), 43); // 300 mod 257
 /// assert_eq!((a / b) * b, a);
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct FpGeneric<const P: u64>(u64);
 
 /// Trial-division primality test, const-evaluable so the check costs

@@ -42,8 +42,7 @@
 //!
 //! [`matmul_naive`], [`matvec_naive`], [`dot_naive`] and
 //! [`transpose_naive`] preserve the pre-kernel implementations. They are
-//! the ground truth for the agreement tests and the baseline for the
-//! `linalg_kernels` bench and `scec bench` trajectory.
+//! the ground truth for the agreement tests.
 
 use crate::error::{Error, Result};
 use crate::matrix::Matrix;
@@ -60,9 +59,10 @@ pub const PAR_THRESHOLD: usize = 1 << 15;
 ///
 /// The core count is detected once and cached: `available_parallelism`
 /// is a syscall, and the un-cached version showed up as a measurable
-/// regression on single-core hosts (BENCH_6: `fp61_matmul_parallel`
-/// 0.745 ns/op vs 0.736 for the serial-pinned kernel, on a machine where
-/// the parallel path never spawns a thread). With the cache, the
+/// regression on single-core hosts (0.745 ns/op through the parallel
+/// entry point vs 0.736 for the serial-pinned kernel, as recorded by the
+/// since-removed `scec bench` harness on a machine where the parallel
+/// path never spawns a thread). With the cache, the
 /// `threads == 1` degradation path costs one relaxed atomic load.
 pub fn max_threads() -> usize {
     #[cfg(feature = "parallel")]
@@ -199,17 +199,17 @@ where
 
 /// Edge length of the square tiles used by the blocked transpose.
 ///
-/// Picked empirically from the `fp61_transpose_tile_sweep` bench shapes
-/// (see `crates/bench/benches/linalg_kernels.rs`): on the reference
+/// Picked empirically from a tile sweep (numbers recorded by the two
+/// bench harnesses since removed): on the reference
 /// hardware a 16×16 tile of `u64`-sized entries (2 KiB read + 2 KiB
 /// write window) beat tiles 8/32/64/128 at 512², 1024², and 2048²
 /// (1.66/1.68/5.71 ns per element vs 1.70/2.15/5.83 for the previous
 /// tile of 32), and the write-contiguous inner loop in
 /// [`transpose_blocked`] beat the old read-contiguous order (which
-/// measured 4.78 ns/op at 1024² in `BENCH_2.json`).
+/// measured 4.78 ns/op at 1024²).
 ///
-/// Re-swept after the `BENCH_6.json` regression to 1.58 ns/op (via the
-/// in-tree `transpose_tile_sweep_report` test): tile 16 still wins —
+/// Re-swept after a later snapshot read 1.58 ns/op (via the in-tree
+/// `transpose_tile_sweep_report` test): tile 16 still wins —
 /// 1.67/1.76/4.67 ns per element at 512²/1024²/2048² vs 1.67/1.83/4.76
 /// for tile 8 and 1.88/2.34/4.91 for tile 32 — so the regression was
 /// measurement-environment drift, not a mistuned tile; the constant
@@ -223,8 +223,8 @@ pub(crate) const TRANSPOSE_TILE: usize = 16;
 /// the inner loop walks *output* rows, making the writes contiguous and
 /// the (prefetch-friendlier) strided accesses reads. `tile == 0` is
 /// treated as an untiled single block. [`Matrix::transpose`] delegates
-/// here with [`TRANSPOSE_TILE`]; the bench sweep calls this directly to
-/// compare tile sizes.
+/// here with [`TRANSPOSE_TILE`]; the in-tree tile sweep and the
+/// agreement tests call this directly to compare tile sizes.
 pub fn transpose_blocked<F: Scalar>(m: &Matrix<F>, tile: usize) -> Matrix<F> {
     let (rows, cols) = m.shape();
     let tile = if tile == 0 {
@@ -251,8 +251,7 @@ pub fn transpose_blocked<F: Scalar>(m: &Matrix<F>, tile: usize) -> Matrix<F> {
 }
 
 /// Reference matrix product: the pre-kernel i-k-j triple loop with one
-/// reduction per multiply. Kept as the agreement-test oracle and the
-/// bench baseline.
+/// reduction per multiply. Kept as the agreement-test oracle.
 ///
 /// # Errors
 ///

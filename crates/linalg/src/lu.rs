@@ -6,8 +6,6 @@
 //! reusable factorization turns each subsequent solve from O(n³) into
 //! O(n²).
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::{Error, Result};
 use crate::matrix::Matrix;
 use crate::scalar::Scalar;
@@ -31,7 +29,7 @@ use crate::vector::Vector;
 /// assert!((x.at(1) - 2.0).abs() < 1e-12);
 /// # Ok::<(), scec_linalg::Error>(())
 /// ```
-#[derive(Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq)]
 pub struct Lu<F> {
     packed: Matrix<F>,
     perm: Vec<usize>,

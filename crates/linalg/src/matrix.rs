@@ -3,7 +3,6 @@
 use std::fmt;
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::error::{Axis, Error, Result};
 use crate::kernels;
@@ -29,7 +28,7 @@ use crate::vector::Vector;
 /// assert_eq!(a.matmul(&b)?, a);
 /// # Ok::<(), scec_linalg::Error>(())
 /// ```
-#[derive(Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq)]
 pub struct Matrix<F> {
     rows: usize,
     cols: usize,
@@ -273,8 +272,8 @@ impl<F: Scalar> Matrix<F> {
 
     /// [`Matrix::matmul`] pinned to the single-threaded kernel path.
     ///
-    /// Used by benches to separate the lazy-reduction win from the
-    /// parallel win; results are identical to [`Matrix::matmul`].
+    /// The agreement tests compare it with the banded path and the
+    /// naive kernel; results are identical to [`Matrix::matmul`].
     ///
     /// # Errors
     ///

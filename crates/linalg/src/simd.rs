@@ -13,9 +13,7 @@
 //! `DOT4_MIN`). GF(2⁶¹ − 1) arithmetic is exact, so every tier returns
 //! the *bit-identical* canonical representative — dispatch is a pure
 //! speed decision, never a semantics decision, and non-x86 builds simply
-//! never leave the scalar kernel. [`force_scalar`] pins the dispatch to
-//! the scalar kernel so benches and agreement tests can measure/compare
-//! the paths on the same machine.
+//! never leave the scalar kernel.
 //!
 //! # Deferred reduction
 //!
@@ -47,8 +45,6 @@
 //! total, far inside the `n < 2^30` *per lane* the argument needs.
 #![allow(unsafe_code)]
 #![deny(unsafe_op_in_unsafe_fn)]
-
-use std::sync::atomic::{AtomicBool, Ordering};
 
 use crate::fp::Fp61;
 
@@ -93,17 +89,6 @@ const DOT4_MIN: [usize; 2] = [24, 64];
 /// moves on, so it stays.
 const DOT_MIN: [usize; 2] = [24, 512];
 
-/// Bench/test override: when `true`, [`active`] reports `false` and every
-/// dot runs the portable scalar kernel regardless of CPU features.
-static FORCE_SCALAR: AtomicBool = AtomicBool::new(false);
-
-/// Pins (`true`) or unpins (`false`) the dot dispatch to the scalar lazy
-/// kernel. Used by `scec bench` to measure the scalar and SIMD paths
-/// separately on the same machine, and by agreement tests.
-pub fn force_scalar(on: bool) {
-    FORCE_SCALAR.store(on, Ordering::Relaxed);
-}
-
 /// The widest tier the running CPU supports. Detected once and cached;
 /// always [`Tier::Scalar`] on non-x86_64 targets.
 fn detected() -> Tier {
@@ -132,7 +117,7 @@ fn detected() -> Tier {
 /// the short dots of the small serving shapes pay one compare.
 #[inline]
 fn select(len: usize, min: [usize; 2]) -> Tier {
-    if len < min[0] || len > MAX_LEN || FORCE_SCALAR.load(Ordering::Relaxed) {
+    if len < min[0] || len > MAX_LEN {
         return Tier::Scalar;
     }
     match detected() {
@@ -148,20 +133,9 @@ pub fn avx2_available() -> bool {
     detected() >= Tier::Avx2
 }
 
-/// Whether long dots currently take a vector path: the CPU has one and
-/// no [`force_scalar`] override is in effect.
+/// Whether long dots take a vector path, i.e. the CPU has one.
 pub fn active() -> bool {
     select(MAX_LEN, [0, 0]) != Tier::Scalar
-}
-
-/// The widest tier dispatch currently uses — `"avx512f"`, `"avx2"` or
-/// `"scalar"` (no vector unit, non-x86, or [`force_scalar`] set).
-pub fn tier() -> &'static str {
-    match select(MAX_LEN, [0, 0]) {
-        Tier::Avx512 => "avx512f",
-        Tier::Avx2 => "avx2",
-        Tier::Scalar => "scalar",
-    }
 }
 
 impl Tier {
@@ -199,10 +173,9 @@ impl Tier {
 }
 
 /// Vector dot product over GF(2⁶¹ − 1), or `None` when the scalar kernel
-/// should run instead (slice below the measured threshold, no vector
-/// unit, or [`force_scalar`] set). When `Some`, the result is the
-/// canonical representative and is bit-identical to
-/// [`Fp61::dot_slices_scalar`].
+/// should run instead (slice below the measured threshold, or no vector
+/// unit). When `Some`, the result is the canonical representative and is
+/// bit-identical to [`Fp61::dot_slices_scalar`].
 ///
 /// # Panics
 ///
@@ -472,23 +445,9 @@ mod tests {
             assert_eq!(a.matmul(&b).unwrap(), matmul_naive(&a, &b).unwrap());
             assert_eq!(a.matvec(&x).unwrap(), matvec_naive(&a, &x).unwrap());
         }
-    }
-
-    #[test]
-    fn force_scalar_pins_dispatch() {
-        let a: Vec<Fp61> = (0..100).map(|i| Fp61::new(i * 17 + 1)).collect();
-        let b: Vec<Fp61> = (0..100).map(|i| Fp61::new(i * 31 + 2)).collect();
-        force_scalar(true);
-        assert!(!active());
-        assert_eq!(tier(), "scalar");
-        assert_eq!(dot_fp61(&a, &b), None);
-        force_scalar(false);
-        assert_eq!(active(), detected() > Tier::Scalar);
         // Past the deferred-reduction bound no vector tier is offered.
         assert_eq!(select(MAX_LEN, [0, 0]), detected());
         assert_eq!(select(MAX_LEN + 1, [0, 0]), Tier::Scalar);
-        // Dispatched dot (whatever the platform) equals the scalar kernel.
-        assert_eq!(Fp61::dot_slices(&a, &b), Fp61::dot_slices_scalar(&a, &b));
     }
 
     /// Threshold sweep, ignored by default: `cargo test --release -p

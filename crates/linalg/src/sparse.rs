@@ -7,8 +7,6 @@
 //! production cloud would use for encoding and verification at
 //! `m = 10⁴⁺` scale.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::{Axis, Error, Result};
 use crate::matrix::Matrix;
 use crate::scalar::Scalar;
@@ -28,7 +26,7 @@ use crate::vector::Vector;
 /// assert_eq!(s.to_dense(), Matrix::from_rows(vec![vec![1.0, 0.0], vec![0.0, 2.0]])?);
 /// # Ok::<(), scec_linalg::Error>(())
 /// ```
-#[derive(Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq)]
 pub struct CsrMatrix<F> {
     rows: usize,
     cols: usize,

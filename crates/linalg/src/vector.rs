@@ -3,7 +3,6 @@
 use std::fmt;
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::error::{Axis, Error, Result};
 use crate::matrix::Matrix;
@@ -25,7 +24,7 @@ use crate::scalar::Scalar;
 /// assert_eq!(x.dot(&y)?, 6.0);
 /// # Ok::<(), scec_linalg::Error>(())
 /// ```
-#[derive(Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq)]
 pub struct Vector<F> {
     data: Vec<F>,
 }

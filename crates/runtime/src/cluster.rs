@@ -938,12 +938,12 @@ mod tests {
     use super::*;
     use crate::device::Device;
     use crate::SimClock;
-    use crossbeam::channel::{unbounded, Sender};
     use rand::{rngs::StdRng, SeedableRng};
     use scec_allocation::EdgeFleet;
     use scec_coding::Encoder;
     use scec_core::AllocationStrategy;
     use scec_linalg::Fp61;
+    use std::sync::mpsc::{channel, Sender};
 
     const M: usize = 6;
     const L: usize = 4;
@@ -1097,6 +1097,17 @@ mod tests {
         parity_rows(&a, &code, &shares, (1, shares.len() - 1), |y| y, &mut rng);
     }
 
+    /// Checked when this compiles: sharing a cluster between threads
+    /// must not depend on which channel implementation was linked.
+    #[test]
+    fn every_cluster_is_send_and_sync() {
+        fn shared<T: Send + Sync>() {}
+        shared::<LocalCluster<Fp61>>();
+        shared::<StragglerCluster<Fp61>>();
+        shared::<TPrivateCluster<Fp61>>();
+        shared::<crate::SupervisedCluster<Fp61>>();
+    }
+
     #[test]
     fn concurrent_queries_from_multiple_threads() {
         let (a, sys, mut rng) = build(6, 3, 2);
@@ -1241,7 +1252,7 @@ mod tests {
             script: fn(FromDevice<Fp61>) -> Vec<FromDevice<Fp61>>,
         ) -> impl FnOnce(&[Sh]) -> Result<Link<Fp61>> {
             move |shares| {
-                let (responses, rx) = unbounded();
+                let (responses, rx) = channel();
                 let ids: Vec<usize> = shares.iter().map(device).collect();
                 let devices = ids
                     .iter()
@@ -1428,10 +1439,7 @@ mod tests {
                     books,
                 };
                 // Nothing ever answers; the sender is dropped at once.
-                Ok((
-                    Box::new(transport) as Box<dyn Transport<Fp61>>,
-                    unbounded().1,
-                ))
+                Ok((Box::new(transport) as Box<dyn Transport<Fp61>>, channel().1))
             }
         }
     }

@@ -8,10 +8,10 @@
 //! connection handler calls it for every frame it decodes, so the
 //! in-process and the networked device cannot drift.
 
+use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
 use std::time::Duration;
 
-use crossbeam::channel::{Receiver, Sender};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 use scec_coding::{DeviceShare, StragglerShare};

@@ -3,7 +3,7 @@
 //! The paper's math treats devices as functions; real edge deployments
 //! are processes exchanging messages. This crate runs the four-step
 //! protocol over **actual concurrency**: each edge device is an OS thread
-//! owning its coded share, connected to the user by crossbeam channels,
+//! owning its coded share, connected to the user by `std` channels,
 //! speaking a typed [`message`] protocol.
 //!
 //! There is one query path. [`Cluster`] runs it — launch, broadcast,

@@ -1,22 +1,23 @@
 //! Shared response mailbox for all cluster flavors.
 //!
-//! Every cluster funnels device responses through one crossbeam channel,
-//! a batch per message: what a device answered to one window, or what
-//! one socket read produced. Concurrent queries therefore share the
-//! receiver: whichever query thread pops a batch keeps the responses its
-//! own request still needs and parks the others in their requests'
-//! stashes, and every thread re-checks its stash each polling round so
-//! nothing is lost. A stash exists from the request's
+//! Every cluster funnels device responses through one `std::sync::mpsc`
+//! channel, a batch per message: what a device answered to one window,
+//! or what one socket read produced. Concurrent queries therefore share
+//! the receiver, taking turns at it behind a lock (a `std` receiver has
+//! one consumer at a time): whichever query thread pops a batch keeps the
+//! responses its own request still needs and parks the others in their
+//! requests' stashes, and every thread re-checks its stash each polling
+//! round so nothing is lost. A stash exists from the request's
 //! [`open`](Mailbox::open) to its [`clear`](Mailbox::clear); a response
 //! to a request that is not open — finished, abandoned, or never begun —
 //! has no reader and is dropped on arrival, so a straggler answering
 //! late costs nothing.
 
 use std::collections::BTreeMap;
+use std::sync::mpsc::{RecvTimeoutError, TryRecvError};
 use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
-use crossbeam::channel::{RecvTimeoutError, TryRecvError};
 use scec_linalg::Scalar;
 
 use crate::clock::Clock;
@@ -40,7 +41,9 @@ pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 
 /// The shared response channel plus the parked-response stash.
 pub(crate) struct Mailbox<F> {
-    responses: Responses<F>,
+    /// Locked for one `try_recv` or one [`POLL`] slice at a time, never
+    /// across `absorb` or a flush; the lock is what keeps clusters `Sync`.
+    responses: Mutex<Responses<F>>,
     /// One stash per open request: the responses popped on its behalf
     /// by threads collecting other requests, and its own beyond what a
     /// collect needed. Every begin, finish and
@@ -52,7 +55,7 @@ pub(crate) struct Mailbox<F> {
 impl<F: Scalar> Mailbox<F> {
     pub(crate) fn new(responses: Responses<F>) -> Self {
         Mailbox {
-            responses,
+            responses: Mutex::new(responses),
             parked: Mutex::new(BTreeMap::new()),
         }
     }
@@ -125,7 +128,11 @@ impl<F: Scalar> Mailbox<F> {
                         needed,
                     });
                 }
-                match self.responses.try_recv() {
+                // Each result is bound before it is matched on: a guard
+                // in the scrutinee would live through the arms, and the
+                // `Empty` arm locks again.
+                let ready = lock(&self.responses).try_recv();
+                match ready {
                     Ok(batch) => batch,
                     Err(TryRecvError::Disconnected) => {
                         return Err(Error::ChannelClosed { device: None });
@@ -133,7 +140,8 @@ impl<F: Scalar> Mailbox<F> {
                     Err(TryRecvError::Empty) => {
                         transport.flush()?;
                         let slice = remaining.min(POLL);
-                        match self.responses.recv_timeout(slice) {
+                        let waited = lock(&self.responses).recv_timeout(slice);
+                        match waited {
                             Ok(batch) => batch,
                             Err(RecvTimeoutError::Timeout) => {
                                 // A real polling slice expired with no
@@ -202,9 +210,9 @@ impl<F> Mailbox<F> {
 mod tests {
     use super::*;
     use crate::transport::ChannelTransport;
-    use crate::SimClock;
-    use crossbeam::channel::unbounded;
+    use crate::{RealClock, SimClock};
     use scec_linalg::{Fp61, Vector};
+    use std::sync::mpsc::channel;
 
     fn response(request: u64, device: usize) -> FromDevice<Fp61> {
         FromDevice::Partial {
@@ -218,27 +226,30 @@ mod tests {
     /// that answered, in the order absorbed. The auto-advance clock
     /// turns "nothing there" into a deterministic timeout.
     fn devices_heard(mailbox: &Mailbox<Fp61>, request: u64, needed: usize) -> Result<Vec<usize>> {
+        let patience = Duration::from_millis(25);
+        heard_within(mailbox, &SimClock::new(), patience, request, needed)
+    }
+
+    fn heard_within(
+        mailbox: &Mailbox<Fp61>,
+        clock: &dyn Clock,
+        patience: Duration,
+        request: u64,
+        needed: usize,
+    ) -> Result<Vec<usize>> {
         let (transport, _) = ChannelTransport::unthreaded(&[]);
         let mut heard = Vec::new();
         let absorb = |resp: FromDevice<Fp61>| {
             heard.push(resp.device());
             Ok(heard.len())
         };
-        let patience = Duration::from_millis(25);
-        mailbox.collect(
-            &transport,
-            &SimClock::new(),
-            request,
-            patience,
-            needed,
-            absorb,
-        )?;
+        mailbox.collect(&transport, clock, request, patience, needed, absorb)?;
         Ok(heard)
     }
 
     #[test]
     fn a_batch_is_absorbed_parked_and_dropped_by_request() {
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         let mailbox = Mailbox::new(rx);
         // Requests 1–3 are open; 4 was never begun (or is finished).
         (1..=3).for_each(|request| mailbox.open(request));
@@ -279,7 +290,7 @@ mod tests {
 
     #[test]
     fn a_failing_absorb_still_parks_the_rest_of_the_batch() {
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         let mailbox = Mailbox::new(rx);
         mailbox.open(1);
         mailbox.open(2);
@@ -299,5 +310,41 @@ mod tests {
             Err(Error::DeviceFailure { device: 1, .. })
         ));
         assert_eq!(devices_heard(&mailbox, 2, 2).unwrap(), [1, 2]);
+    }
+
+    #[test]
+    fn collectors_sharing_the_receiver_each_get_exactly_their_own_answers() {
+        const ANSWERS: usize = 64;
+        // A liveness check, not a latency one: the only question is
+        // whether both collectors get there.
+        let generous = Duration::from_secs(60);
+        let (tx, rx) = channel();
+        let mailbox = Mailbox::new(rx);
+        (1..=3).for_each(|request| mailbox.open(request));
+        let clock = RealClock::default();
+        // A device id that says whose answer it is.
+        let device = |request: u64, answer: usize| 1000 * request as usize + answer;
+        std::thread::scope(|scope| {
+            let collectors = [1, 2].map(|request| {
+                let (mailbox, clock) = (&mailbox, &clock);
+                scope.spawn(move || heard_within(mailbox, clock, generous, request, ANSWERS))
+            });
+            // Nothing ever answers request 3, and the collect that gives
+            // up on it must leave the receiver to the other two …
+            let gave_up = heard_within(&mailbox, &clock, Duration::from_millis(20), 3, 1);
+            assert!(matches!(gave_up, Err(Error::Timeout { received: 0, .. })));
+            // … which are fed only now, every batch answering both, so
+            // whichever of them pops it holds something of the other's.
+            for answer in 1..=ANSWERS {
+                let batch = [1, 2].map(|request| response(request, device(request, answer)));
+                tx.send(batch.to_vec()).unwrap();
+            }
+            for (request, collector) in (1..).zip(collectors) {
+                let mut heard = collector.join().unwrap().expect("inside the deadline");
+                heard.sort_unstable();
+                let own: Vec<usize> = (1..=ANSWERS).map(|n| device(request, n)).collect();
+                assert_eq!(heard, own, "request {request}");
+            }
+        });
     }
 }

@@ -1,9 +1,9 @@
 //! The typed wire protocol between the user and device actors.
 //!
-//! Messages are in-memory (crossbeam channels), but the shapes mirror
-//! what a networked deployment would serialize: the user never sends a
-//! device anything but its own share and blinded queries, and devices
-//! never return anything but computed values.
+//! Messages are in-memory (`std::sync::mpsc` channels), but the shapes
+//! mirror what a networked deployment would serialize: the user never
+//! sends a device anything but its own share and blinded queries, and
+//! devices never return anything but computed values.
 
 use std::sync::Arc;
 

@@ -31,10 +31,10 @@
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use crossbeam::channel::{unbounded, Sender};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 use scec_allocation::{ta, AdaptiveAllocator, AdaptiveConfig, DriftSample, EdgeFleet, Verdict};
@@ -579,7 +579,7 @@ impl<F: Scalar> SupervisedCluster<F> {
                 ewma_latency: None,
             })
             .collect();
-        let (resp_tx, resp_rx) = unbounded();
+        let (resp_tx, resp_rx) = channel();
         let mut srng = StdRng::seed_from_u64(rng.next_u64());
         let encode_started = clock.now();
         let (topo, _) = Self::build_topology(

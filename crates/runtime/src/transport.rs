@@ -6,8 +6,9 @@
 //! cluster core is generic over it:
 //!
 //! * [`ChannelTransport`] — the in-process backend: one OS thread per
-//!   device actor, crossbeam channels, zero serialization. This is the
-//!   original runtime fabric, bit-identical to the pre-trait clusters.
+//!   device actor, `std::sync::mpsc` channels, zero serialization. This
+//!   is the original runtime fabric, bit-identical to the pre-trait
+//!   clusters.
 //! * [`SimLinkTransport`] — a deterministic simulated link: every
 //!   message round-trips through the `scec-wire` codec (and optionally
 //!   sleeps a fixed per-message latency on the cluster clock) before
@@ -18,7 +19,7 @@
 //!   sockets, length-prefixed `scec-wire` frames built with the shared
 //!   [`frames`] codecs.
 //!
-//! The receive side stays a crossbeam [`Receiver`] of response batches
+//! The receive side stays a `std` [`Receiver`] of response batches
 //! feeding the cluster mailbox, whatever the backend: remote transports
 //! pump their sockets into the channel from reader threads.
 //!
@@ -32,11 +33,10 @@
 //! answers a batch with a batch (see [`device`](crate::device)), and a
 //! socket reader forwards whatever one read produced.
 
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
-
-use crossbeam::channel::{unbounded, Receiver, Sender};
 
 use scec_linalg::Scalar;
 use scec_wire::{WireDecode, WireEncode};
@@ -57,7 +57,7 @@ pub type Responses<F> = Receiver<Vec<FromDevice<F>>>;
 /// Implementations must map a failed send onto
 /// [`Error::ChannelClosed`] naming the device, so cluster-level crash
 /// detection behaves identically across backends. Responses flow back,
-/// in batches, through the crossbeam channel the transport was built
+/// in batches, through the `std` channel the transport was built
 /// with — the cluster's mailbox does not know which backend produced
 /// them.
 pub trait Transport<F: Scalar>: Send + Sync {
@@ -151,7 +151,7 @@ impl<F> DeviceHandle<F> {
 }
 
 /// The in-process backend: one spawned actor thread per device, plain
-/// crossbeam channels carrying batches, no serialization.
+/// `std` channels carrying batches, no serialization.
 pub struct ChannelTransport<F> {
     devices: Vec<DeviceHandle<F>>,
 }
@@ -168,7 +168,7 @@ impl<F: Scalar> ChannelTransport<F> {
     ) -> Self {
         let mut devices = Vec::with_capacity(specs.len());
         for (device, behavior) in specs {
-            let (tx, rx) = unbounded();
+            let (tx, rx) = channel();
             let outbox = resp_tx.clone();
             let device_clock = Arc::clone(clock);
             let join = std::thread::Builder::new()
@@ -186,7 +186,7 @@ impl<F: Scalar> ChannelTransport<F> {
         specs: Vec<(usize, DeviceBehavior)>,
         clock: &Arc<dyn Clock>,
     ) -> (Self, Responses<F>) {
-        let (resp_tx, resp_rx) = unbounded();
+        let (resp_tx, resp_rx) = channel();
         (Self::spawn_onto(specs, clock, &resp_tx), resp_rx)
     }
 }
@@ -266,7 +266,7 @@ where
         clock: Arc<dyn Clock>,
         delay: Duration,
     ) -> (Self, Responses<F>) {
-        let (out_tx, out_rx) = unbounded();
+        let (out_tx, out_rx) = channel();
         let relay_clock = Arc::clone(&clock);
         let relay = std::thread::Builder::new()
             .name("scec-simlink-relay".into())
@@ -713,10 +713,10 @@ mod tests {
     use super::*;
     use crate::cluster::{Cluster, Link};
     use crate::{LocalCluster, PanelQuery, PipelinedQuery, SimClock};
-    use crossbeam::channel::TryRecvError;
     use rand::{rngs::StdRng, SeedableRng};
     use scec_coding::{CodeDesign, Encoder, TaggedResponse};
     use scec_linalg::{Fp61, Matrix, Vector};
+    use std::sync::mpsc::TryRecvError;
 
     impl<F> ChannelTransport<F> {
         /// A transport with no actor threads behind it: the test holds the
@@ -725,7 +725,7 @@ mod tests {
             let (devices, inboxes) = ids
                 .iter()
                 .map(|&device| {
-                    let (tx, inbox) = unbounded();
+                    let (tx, inbox) = channel();
                     (DeviceHandle::new(device, tx, None), inbox)
                 })
                 .unzip();
@@ -799,7 +799,7 @@ mod tests {
     #[test]
     fn hand_off_count_a_window_is_one_message_each_way_over_the_sim_link() {
         let (inner, inboxes) = ChannelTransport::<Fp61>::unthreaded(&[1, 2, 3]);
-        let (device_side, inner_rx) = unbounded();
+        let (device_side, inner_rx) = channel();
         let clock: Arc<dyn Clock> = Arc::new(SimClock::new());
         let (mut transport, responses) =
             SimLinkTransport::wrap(inner, inner_rx, clock, Duration::ZERO);
@@ -861,7 +861,7 @@ mod tests {
         let (design, shares) = shares(2);
         let ids: Vec<usize> = shares.iter().map(|s| s.device()).collect();
         let (transport, inboxes) = ChannelTransport::unthreaded(&ids);
-        let (resp_tx, resp_rx) = unbounded();
+        let (resp_tx, resp_rx) = channel();
         let clock: Arc<dyn Clock> = Arc::new(SimClock::new());
         let encoded = (Duration::ZERO, Duration::ZERO);
         let link = |_: &[_]| -> Result<Link<Fp61>> { Ok((Box::new(transport), resp_rx)) };

@@ -9,10 +9,9 @@
 //! `write` per device; share installs and the closing BYE are written at
 //! once, behind whatever was queued. A reader thread per device pulls
 //! response frames through a buffered [`FrameReader`] and decodes them
-//! into the cluster's crossbeam mailbox channel, everything one socket
-//! read produced as one batch — the same channel of batches the
-//! in-memory backend feeds, so the cluster core cannot tell the
-//! difference.
+//! into the cluster's mailbox channel, everything one socket read
+//! produced as one batch — the same channel of batches the in-memory
+//! backend feeds, so the cluster core cannot tell the difference.
 //!
 //! Every frame is metered by a [`WireMeter`] shared with the caller:
 //! the transport reports `counts_wire_bytes() == true`, which switches
@@ -24,10 +23,9 @@ use std::io::Write as _;
 use std::marker::PhantomData;
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-
-use crossbeam::channel::{unbounded, Sender};
 
 use scec_coding::HelloMsg;
 use scec_linalg::Scalar;
@@ -160,7 +158,7 @@ where
         device_ids: &[usize],
     ) -> Result<(Self, Responses<F>, WireMeter)> {
         let meter = WireMeter::new(device_ids.to_vec());
-        let (resp_tx, resp_rx) = unbounded();
+        let (resp_tx, resp_rx) = channel();
         let mut peers = Vec::with_capacity(device_ids.len());
         let mut readers = Vec::with_capacity(device_ids.len());
         let mut buf = Vec::new();
@@ -370,6 +368,14 @@ mod tests {
     use scec_linalg::{Fp61, Matrix, Vector};
 
     use super::*;
+
+    /// Checked when this compiles: a cluster over TCP is shared between
+    /// threads like any other.
+    #[test]
+    fn the_tcp_transport_is_send_and_sync() {
+        fn shared<T: Send + Sync>() {}
+        shared::<TcpTransport<Fp61>>();
+    }
 
     #[test]
     fn an_install_leaves_no_share_sized_buffer_behind() {

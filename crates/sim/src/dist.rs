@@ -7,7 +7,6 @@
 //! `σ = 2.5`.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A distribution over device unit costs.
 ///
@@ -23,7 +22,7 @@ use serde::{Deserialize, Serialize};
 /// let n = CostDistribution::normal(5.0, 1.25).sample(&mut rng);
 /// assert!(n > 0.0); // truncated positive
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 #[non_exhaustive]
 pub enum CostDistribution {
     /// Uniform on `[min, max)` — the paper's `U(1, c_max)`.

@@ -26,14 +26,13 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use scec_coding::CodeDesign;
 
 use crate::error::{Error, Result};
 
 /// Timing characteristics of one edge device and its link to the user.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DeviceProfile {
     /// One-way link latency, seconds.
     pub latency: f64,
@@ -91,7 +90,7 @@ impl DeviceProfile {
 
 /// The network as the protocol sees it: one profile per participating
 /// device plus the user's decode speed.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NetworkModel {
     devices: Vec<DeviceProfile>,
     user_per_op_time: f64,
@@ -151,7 +150,7 @@ impl NetworkModel {
 }
 
 /// What happened on one device during a simulated query.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DeviceTimeline {
     /// Device index (1-based).
     pub device: usize,
@@ -166,7 +165,7 @@ pub struct DeviceTimeline {
 }
 
 /// One entry of the chronological event trace.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LoggedEvent {
     /// Simulation time, seconds.
     pub time: f64,
@@ -177,7 +176,7 @@ pub struct LoggedEvent {
 }
 
 /// Kinds of logged protocol events.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LoggedEventKind {
     /// The query vector finished arriving at the device.
     InputArrived,
@@ -188,7 +187,7 @@ pub enum LoggedEventKind {
 }
 
 /// Full timing of one simulated query.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CompletionReport {
     /// Per-device timelines, device 1 first.
     pub per_device: Vec<DeviceTimeline>,

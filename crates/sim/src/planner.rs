@@ -8,8 +8,6 @@
 //! formula; time comes from the discrete-event protocol simulation over
 //! the fleet's timing profiles.
 
-use serde::{Deserialize, Serialize};
-
 use scec_allocation::{ta, AllocationPlan, EdgeFleet};
 use scec_coding::CodeDesign;
 
@@ -17,7 +15,7 @@ use crate::error::{Error, Result};
 use crate::event::{DeviceProfile, NetworkModel, ProtocolSimulator};
 
 /// The outcome of deadline-aware planning.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeadlinePlan {
     /// Chosen number of random rows.
     pub r: usize,

@@ -2,8 +2,8 @@
 //!
 //! The paper's cloud "computes and then distributes `B_j T`" to each edge
 //! device — which, in a real deployment, means bytes on a wire. The
-//! allowed offline dependency set contains no serde *format* crate, so
-//! this crate provides a small, explicit binary codec:
+//! workspace depends on no serialization framework, so this crate
+//! provides a small, explicit binary codec:
 //!
 //! * little-endian fixed-width integers, IEEE-754 bit patterns for `f64`,
 //!   canonical residues for the finite fields;

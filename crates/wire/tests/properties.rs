@@ -4,7 +4,7 @@
 
 use std::io::{Cursor, Read};
 
-use proptest::prelude::*;
+use rand::{rngs::StdRng, Rng, SeedableRng};
 use scec_linalg::{Fp61, FpGeneric, Matrix, Vector};
 use scec_telemetry::context::{TraceContext, TRACE_CONTEXT_WIRE_BYTES};
 use scec_wire::stream::{
@@ -16,51 +16,69 @@ use scec_wire::{
     parse_header, peek_tag, tag, WireDecode, WireEncode, TRACED_VERSION, VERSION,
 };
 
-proptest! {
-    #[test]
-    fn u64_f64_roundtrip(v in any::<u64>(), f in any::<f64>()) {
-        prop_assert_eq!(u64::from_bytes(&v.to_bytes()).unwrap(), v);
+#[path = "../../../tests/support/sweep.rs"]
+mod sweep;
+use sweep::sweep;
+
+#[test]
+fn u64_f64_roundtrip() {
+    sweep(256, |rng| {
+        let v: u64 = rng.gen();
+        let f = f64::from_bits(rng.gen());
+        assert_eq!(u64::from_bytes(&v.to_bytes()).unwrap(), v);
         let back = f64::from_bytes(&f.to_bytes()).unwrap();
-        prop_assert_eq!(back.to_bits(), f.to_bits());
-    }
+        assert_eq!(back.to_bits(), f.to_bits());
+    });
+}
 
-    #[test]
-    fn fp61_roundtrip(v in 0u64..scec_linalg::fp::MODULUS) {
+#[test]
+fn fp61_roundtrip() {
+    sweep(256, |rng| {
+        let v = rng.gen_range(0u64..scec_linalg::fp::MODULUS);
         let x = Fp61::new(v);
-        prop_assert_eq!(Fp61::from_bytes(&x.to_bytes()).unwrap(), x);
-    }
+        assert_eq!(Fp61::from_bytes(&x.to_bytes()).unwrap(), x);
+    });
+}
 
-    #[test]
-    fn fp257_roundtrip(v in 0u64..257) {
+#[test]
+fn fp257_roundtrip() {
+    sweep(256, |rng| {
+        let v = rng.gen_range(0u64..257);
         type F = FpGeneric<257>;
         let x = F::new(v);
-        prop_assert_eq!(F::from_bytes(&x.to_bytes()).unwrap(), x);
-    }
+        assert_eq!(F::from_bytes(&x.to_bytes()).unwrap(), x);
+    });
+}
 
-    #[test]
-    fn matrix_roundtrip(
-        rows in 0usize..6,
-        cols in 0usize..6,
-        seed in any::<u64>(),
-    ) {
-        use rand::{rngs::StdRng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(seed);
-        let m = Matrix::<Fp61>::random(rows, cols, &mut rng);
-        prop_assert_eq!(Matrix::<Fp61>::from_bytes(&m.to_bytes()).unwrap(), m);
-    }
+#[test]
+fn matrix_roundtrip() {
+    sweep(256, |rng| {
+        let rows = rng.gen_range(0usize..6);
+        let cols = rng.gen_range(0usize..6);
+        let m = Matrix::<Fp61>::random(rows, cols, rng);
+        assert_eq!(Matrix::<Fp61>::from_bytes(&m.to_bytes()).unwrap(), m);
+    });
+}
 
-    #[test]
-    fn vector_roundtrip(data in proptest::collection::vec(any::<f64>(), 0..20)) {
+#[test]
+fn vector_roundtrip() {
+    sweep(256, |rng| {
+        let data: Vec<f64> = (0..rng.gen_range(0usize..20))
+            .map(|_| f64::from_bits(rng.gen()))
+            .collect();
         let v = Vector::from_vec(data);
         let back = Vector::<f64>::from_bytes(&v.to_bytes()).unwrap();
-        prop_assert_eq!(back.len(), v.len());
+        assert_eq!(back.len(), v.len());
         for (a, b) in back.as_slice().iter().zip(v.as_slice()) {
-            prop_assert_eq!(a.to_bits(), b.to_bits());
+            assert_eq!(a.to_bits(), b.to_bits());
         }
-    }
+    });
+}
 
-    #[test]
-    fn arbitrary_bytes_never_panic_the_decoder(bytes in proptest::collection::vec(any::<u8>(), 0..200)) {
+#[test]
+fn arbitrary_bytes_never_panic_the_decoder() {
+    sweep(256, |rng| {
+        let bytes: Vec<u8> = (0..rng.gen_range(0usize..200)).map(|_| rng.gen()).collect();
         // Whatever the bytes, decoding returns Ok or a typed error — no
         // panic, no unbounded allocation (length prefixes are validated
         // against the remaining buffer before reserving).
@@ -68,17 +86,15 @@ proptest! {
         let _ = Vector::<Fp61>::from_bytes(&bytes);
         let _ = Vec::<u64>::from_bytes(&bytes);
         let _ = decode_framed::<Matrix<Fp61>>(&bytes, tag::MATRIX);
-    }
+    });
+}
 
-    #[test]
-    fn bit_flips_are_rejected_or_yield_valid_values(
-        seed in any::<u64>(),
-        flip_byte in 0usize..64,
-        flip_bit in 0usize..8,
-    ) {
-        use rand::{rngs::StdRng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(seed);
-        let m = Matrix::<Fp61>::random(2, 3, &mut rng);
+#[test]
+fn bit_flips_are_rejected_or_yield_valid_values() {
+    sweep(256, |rng| {
+        let flip_byte = rng.gen_range(0usize..64);
+        let flip_bit = rng.gen_range(0usize..8);
+        let m = Matrix::<Fp61>::random(2, 3, rng);
         let mut frame = encode_framed(&m, tag::MATRIX);
         let idx = flip_byte % frame.len();
         frame[idx] ^= 1 << flip_bit;
@@ -86,19 +102,17 @@ proptest! {
         // SOME valid matrix (e.g. a flipped low bit of a residue) — both
         // are acceptable; what is not acceptable is a panic.
         if let Ok(decoded) = decode_framed::<Matrix<Fp61>>(&frame, tag::MATRIX) {
-            prop_assert_eq!(decoded.ncols(), 3);
+            assert_eq!(decoded.ncols(), 3);
         }
-    }
+    });
+}
 
-    #[test]
-    fn stream_frames_roundtrip_back_to_back(
-        seed in any::<u64>(),
-        frames in 1usize..5,
-    ) {
-        use rand::{rngs::StdRng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(seed);
+#[test]
+fn stream_frames_roundtrip_back_to_back() {
+    sweep(256, |rng| {
+        let frames = rng.gen_range(1usize..5);
         let payloads: Vec<Vec<u8>> = (0..frames)
-            .map(|i| encode_framed(&Matrix::<Fp61>::random(i + 1, 2, &mut rng), tag::MATRIX))
+            .map(|i| encode_framed(&Matrix::<Fp61>::random(i + 1, 2, rng), tag::MATRIX))
             .collect();
         let mut wire = Vec::new();
         for p in &payloads {
@@ -108,23 +122,21 @@ proptest! {
         let mut buf = Vec::new();
         for p in &payloads {
             read_frame(&mut cursor, &mut buf, DEFAULT_MAX_FRAME).unwrap();
-            prop_assert_eq!(&buf, p);
+            assert_eq!(&buf, p);
         }
         // The stream is drained exactly: the next read sees a clean close.
-        prop_assert!(matches!(
+        assert!(matches!(
             read_frame(&mut cursor, &mut buf, DEFAULT_MAX_FRAME),
             Err(StreamError::Closed)
         ));
-    }
+    });
+}
 
-    #[test]
-    fn truncated_stream_frames_yield_typed_errors(
-        seed in any::<u64>(),
-        cut_frac in 0.0f64..1.0,
-    ) {
-        use rand::{rngs::StdRng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(seed);
-        let payload = encode_framed(&Matrix::<Fp61>::random(3, 2, &mut rng), tag::MATRIX);
+#[test]
+fn truncated_stream_frames_yield_typed_errors() {
+    sweep(256, |rng| {
+        let cut_frac = rng.gen_range(0.0f64..1.0);
+        let payload = encode_framed(&Matrix::<Fp61>::random(3, 2, rng), tag::MATRIX);
         let mut wire = Vec::new();
         write_frame(&mut wire, &payload).unwrap();
         let cut = ((wire.len() - 1) as f64 * cut_frac) as usize;
@@ -132,38 +144,39 @@ proptest! {
         let mut buf = Vec::new();
         match read_frame(&mut cursor, &mut buf, DEFAULT_MAX_FRAME) {
             // Clean close only when not a single header byte arrived.
-            Err(StreamError::Closed) => prop_assert_eq!(cut, 0),
+            Err(StreamError::Closed) => assert_eq!(cut, 0),
             // Otherwise the truncation is reported as a typed wire error.
-            Err(StreamError::Wire(e)) => prop_assert!(matches!(
-                e,
-                scec_wire::Error::UnexpectedEof { .. }
-            )),
-            other => prop_assert!(false, "unexpected: {:?}", other),
+            Err(StreamError::Wire(e)) => {
+                assert!(matches!(e, scec_wire::Error::UnexpectedEof { .. }))
+            }
+            other => panic!("unexpected: {other:?}"),
         }
-    }
+    });
+}
 
-    #[test]
-    fn oversized_stream_frames_are_rejected_before_allocation(
-        claimed in (DEFAULT_MAX_FRAME as u32 + 1)..=u32::MAX,
-    ) {
+#[test]
+fn oversized_stream_frames_are_rejected_before_allocation() {
+    sweep(256, |rng| {
+        let claimed = rng.gen_range((DEFAULT_MAX_FRAME as u32 + 1)..=u32::MAX);
         // A header claiming more than the cap is rejected after exactly
         // the 4 header bytes — the payload is never read or allocated.
         let mut wire = claimed.to_le_bytes().to_vec();
         wire.extend_from_slice(&[0xAB; 32]);
         let mut cursor = Cursor::new(wire);
         let mut buf = Vec::new();
-        prop_assert!(matches!(
+        assert!(matches!(
             read_frame(&mut cursor, &mut buf, DEFAULT_MAX_FRAME),
             Err(StreamError::Wire(scec_wire::Error::FrameTooLarge { .. }))
         ));
-        prop_assert_eq!(cursor.position(), 4);
-        prop_assert!(buf.capacity() <= DEFAULT_MAX_FRAME);
-    }
+        assert_eq!(cursor.position(), 4);
+        assert!(buf.capacity() <= DEFAULT_MAX_FRAME);
+    });
+}
 
-    #[test]
-    fn garbage_stream_bytes_never_panic_or_over_read(
-        bytes in proptest::collection::vec(any::<u8>(), 0..256),
-    ) {
+#[test]
+fn garbage_stream_bytes_never_panic_or_over_read() {
+    sweep(256, |rng| {
+        let bytes: Vec<u8> = (0..rng.gen_range(0usize..256)).map(|_| rng.gen()).collect();
         let len = bytes.len();
         let mut cursor = Cursor::new(bytes);
         let mut buf = Vec::new();
@@ -180,68 +193,68 @@ proptest! {
                 Err(_) => break,
             }
         }
-        prop_assert!(cursor.position() as usize <= len);
-    }
+        assert!(cursor.position() as usize <= len);
+    });
+}
 
-    #[test]
-    fn frame_versions_round_trip_old_and_new(
-        seed in any::<u64>(),
-        rows in 1usize..5,
-        trace_id in any::<u64>(),
-        parent in any::<u64>(),
-        sampled in any::<bool>(),
-    ) {
-        use rand::{rngs::StdRng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(seed);
-        let m = Matrix::<Fp61>::random(rows, 3, &mut rng);
-        let ctx = TraceContext { trace_id, parent_span_id: parent, sampled };
+#[test]
+fn frame_versions_round_trip_old_and_new() {
+    sweep(256, |rng| {
+        let rows = rng.gen_range(1usize..5);
+        let m = Matrix::<Fp61>::random(rows, 3, rng);
+        let ctx = TraceContext {
+            trace_id: rng.gen(),
+            parent_span_id: rng.gen(),
+            sampled: rng.gen(),
+        };
 
         // Old codec, new decoder: a v1 frame parses with no context.
         let v1 = encode_framed(&m, tag::MATRIX);
-        prop_assert_eq!(parse_header(&v1).unwrap().version, VERSION);
+        assert_eq!(parse_header(&v1).unwrap().version, VERSION);
         let (back, got) = decode_framed_ctx::<Matrix<Fp61>>(&v1, tag::MATRIX).unwrap();
-        prop_assert_eq!(&back, &m);
-        prop_assert_eq!(got, None);
+        assert_eq!(&back, &m);
+        assert_eq!(got, None);
 
         // New codec, old-style (ctx-oblivious) decoder: the payload
         // decodes identically and the context survives the ctx path.
         let mut v2 = Vec::new();
         encode_framed_ctx_into(&m, tag::MATRIX, Some(&ctx), &mut v2);
-        prop_assert_eq!(peek_tag(&v2).unwrap(), tag::MATRIX);
+        assert_eq!(peek_tag(&v2).unwrap(), tag::MATRIX);
         let header = parse_header(&v2).unwrap();
-        prop_assert_eq!(header.version, TRACED_VERSION);
-        prop_assert_eq!(header.trace, Some(ctx));
-        prop_assert_eq!(decode_framed::<Matrix<Fp61>>(&v2, tag::MATRIX).unwrap(), m.clone());
+        assert_eq!(header.version, TRACED_VERSION);
+        assert_eq!(header.trace, Some(ctx));
+        assert_eq!(
+            decode_framed::<Matrix<Fp61>>(&v2, tag::MATRIX).unwrap(),
+            m.clone()
+        );
         let (back, got) = decode_framed_ctx::<Matrix<Fp61>>(&v2, tag::MATRIX).unwrap();
-        prop_assert_eq!(&back, &m);
-        prop_assert_eq!(got, Some(ctx));
+        assert_eq!(&back, &m);
+        assert_eq!(got, Some(ctx));
 
         // The two framings differ by exactly the trace block: strip it
         // and patch the version and the bytes are the v1 frame.
-        prop_assert_eq!(v2.len(), v1.len() + TRACE_CONTEXT_WIRE_BYTES as usize);
+        assert_eq!(v2.len(), v1.len() + TRACE_CONTEXT_WIRE_BYTES as usize);
         let mut stripped = v2.clone();
         stripped.drain(8..8 + TRACE_CONTEXT_WIRE_BYTES as usize);
         stripped[4..6].copy_from_slice(&VERSION.to_le_bytes());
-        prop_assert_eq!(stripped, v1);
-    }
+        assert_eq!(stripped, v1);
+    });
+}
 
-    #[test]
-    fn encode_framed_into_matches_fresh_encoding(
-        seed in any::<u64>(),
-        rows in 1usize..5,
-    ) {
-        use rand::{rngs::StdRng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(seed);
+#[test]
+fn encode_framed_into_matches_fresh_encoding() {
+    sweep(256, |rng| {
+        let rows = rng.gen_range(1usize..5);
         let mut pooled = Vec::with_capacity(4096);
         let cap = pooled.capacity();
         for _ in 0..3 {
-            let m = Matrix::<Fp61>::random(rows, 3, &mut rng);
+            let m = Matrix::<Fp61>::random(rows, 3, rng);
             encode_framed_into(&m, tag::MATRIX, &mut pooled);
-            prop_assert_eq!(&pooled, &encode_framed(&m, tag::MATRIX));
+            assert_eq!(&pooled, &encode_framed(&m, tag::MATRIX));
         }
         // Small messages never outgrow the pooled buffer: no reallocation.
-        prop_assert_eq!(pooled.capacity(), cap);
-    }
+        assert_eq!(pooled.capacity(), cap);
+    });
 }
 
 /// A byte stream that hands over at most `sizes[i]` bytes on its `i`-th
@@ -265,9 +278,7 @@ impl Read for Chunked<'_> {
 
 /// Frames of random lengths (some empty, some past the reader's first
 /// buffer) and the stream `write_frame` makes of them.
-fn random_stream(seed: u64, frames: usize) -> (Vec<Vec<u8>>, Vec<u8>) {
-    use rand::{rngs::StdRng, Rng, SeedableRng};
-    let mut rng = StdRng::seed_from_u64(seed);
+fn random_stream(rng: &mut StdRng, frames: usize) -> (Vec<Vec<u8>>, Vec<u8>) {
     let payloads: Vec<Vec<u8>> = (0..frames)
         .map(|_| {
             let len = match rng.gen_range(0u32..8) {
@@ -345,34 +356,32 @@ fn buffered_frames(wire: &[u8], sizes: &[usize], max_frame: usize) -> (Vec<Vec<u
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    #[test]
-    fn frame_reader_yields_read_frames_frames_for_any_segmentation(
-        seed in any::<u64>(),
-        frames in 0usize..12,
-        sizes in proptest::collection::vec(1usize..20_000, 1..6),
-    ) {
-        let (payloads, wire) = random_stream(seed, frames);
+#[test]
+fn frame_reader_yields_read_frames_frames_for_any_segmentation() {
+    sweep(48, |rng| {
+        let frames = rng.gen_range(0usize..12);
+        let sizes: Vec<usize> = (0..rng.gen_range(1usize..6))
+            .map(|_| rng.gen_range(1..20_000))
+            .collect();
+        let (payloads, wire) = random_stream(rng, frames);
         let (expected, end) = reference_frames(&wire, DEFAULT_MAX_FRAME);
-        prop_assert_eq!(&expected, &payloads);
-        prop_assert_eq!(end, End::Closed);
+        assert_eq!(&expected, &payloads);
+        assert_eq!(end, End::Closed);
         // Arbitrary segments, one byte at a time, and everything at once.
         for sizes in [&sizes[..], &[1], &[usize::MAX]] {
             let (got, end) = buffered_frames(&wire, sizes, DEFAULT_MAX_FRAME);
-            prop_assert_eq!(&got, &payloads);
-            prop_assert_eq!(end, End::Closed);
+            assert_eq!(&got, &payloads);
+            assert_eq!(end, End::Closed);
         }
-    }
+    });
+}
 
-    #[test]
-    fn frame_reader_reports_truncation_like_read_frame_at_every_offset(
-        seed in any::<u64>(),
-        sizes in proptest::collection::vec(1usize..200, 1..4),
-    ) {
-        use rand::{rngs::StdRng, Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(seed);
+#[test]
+fn frame_reader_reports_truncation_like_read_frame_at_every_offset() {
+    sweep(48, |rng| {
+        let sizes: Vec<usize> = (0..rng.gen_range(1usize..4))
+            .map(|_| rng.gen_range(1..200))
+            .collect();
         let mut wire = Vec::new();
         for _ in 0..4 {
             let len = rng.gen_range(0usize..60);
@@ -382,16 +391,20 @@ proptest! {
             // `Closed` exactly at a frame boundary, `UnexpectedEof`
             // mid-prefix and mid-payload, the same frames before either.
             let expected = reference_frames(&wire[..cut], DEFAULT_MAX_FRAME);
-            prop_assert_eq!(buffered_frames(&wire[..cut], &sizes, DEFAULT_MAX_FRAME), expected);
+            assert_eq!(
+                buffered_frames(&wire[..cut], &sizes, DEFAULT_MAX_FRAME),
+                expected
+            );
         }
-    }
+    });
+}
 
-    #[test]
-    fn frame_reader_rejects_an_oversized_prefix_without_growing(
-        max_frame in 16usize..100_000,
-        excess in 1u32..1_000_000,
-        lead in 0usize..3,
-    ) {
+#[test]
+fn frame_reader_rejects_an_oversized_prefix_without_growing() {
+    sweep(48, |rng| {
+        let max_frame = rng.gen_range(16usize..100_000);
+        let excess = rng.gen_range(1u32..1_000_000);
+        let lead = rng.gen_range(0usize..3);
         // A few honest frames, then a prefix past the cap.
         let mut wire = Vec::new();
         for _ in 0..lead {
@@ -403,18 +416,22 @@ proptest! {
         let initial = reader.capacity();
         let mut src = &wire[..];
         for _ in 0..lead {
-            prop_assert_eq!(reader.next_frame(&mut src).unwrap(), &[7; 16][..]);
+            assert_eq!(reader.next_frame(&mut src).unwrap(), &[7; 16][..]);
         }
-        prop_assert!(!reader.has_frame());
-        prop_assert_eq!(ending(&reader.next_frame(&mut src).unwrap_err()), End::TooLarge);
-        prop_assert_eq!(reader.capacity(), initial);
-    }
+        assert!(!reader.has_frame());
+        assert_eq!(
+            ending(&reader.next_frame(&mut src).unwrap_err()),
+            End::TooLarge
+        );
+        assert_eq!(reader.capacity(), initial);
+    });
+}
 
-    #[test]
-    fn a_claimed_length_costs_nothing_until_the_bytes_arrive(
-        claimed in 1_000_000u32..(DEFAULT_MAX_FRAME as u32),
-        sent in 0usize..50_000,
-    ) {
+#[test]
+fn a_claimed_length_costs_nothing_until_the_bytes_arrive() {
+    sweep(48, |rng| {
+        let claimed = rng.gen_range(1_000_000u32..(DEFAULT_MAX_FRAME as u32));
+        let sent = rng.gen_range(0usize..50_000);
         // Within the cap, so not rejected — but only `sent` bytes of the
         // payload ever come. `read_frame` would have sized its buffer by
         // the claim; the buffered reader sizes it by what arrived.
@@ -422,40 +439,45 @@ proptest! {
         wire.resize(LEN_PREFIX_BYTES + sent, 0xCD);
         let mut reader = FrameReader::new(DEFAULT_MAX_FRAME);
         let initial = reader.capacity();
-        let mut src = Chunked { data: &wire, sizes: &[4096], reads: 0 };
-        prop_assert_eq!(ending(&reader.next_frame(&mut src).unwrap_err()), End::Truncated);
-        prop_assert!(reader.capacity() <= initial.max(2 * wire.len()));
-        prop_assert!(reader.capacity() < claimed as usize);
-    }
+        let mut src = Chunked {
+            data: &wire,
+            sizes: &[4096],
+            reads: 0,
+        };
+        assert_eq!(
+            ending(&reader.next_frame(&mut src).unwrap_err()),
+            End::Truncated
+        );
+        assert!(reader.capacity() <= initial.max(2 * wire.len()));
+        assert!(reader.capacity() < claimed as usize);
+    });
+}
 
-    #[test]
-    fn frames_built_in_place_equal_write_frames_bytes(
-        seed in any::<u64>(),
-        frames in 1usize..6,
-    ) {
-        let (payloads, wire) = random_stream(seed, frames);
+#[test]
+fn frames_built_in_place_equal_write_frames_bytes() {
+    sweep(48, |rng| {
+        let frames = rng.gen_range(1usize..6);
+        let (payloads, wire) = random_stream(rng, frames);
         let mut out = Vec::new();
         for p in &payloads {
             let start = begin_frame(&mut out);
             out.extend_from_slice(p);
             end_frame(&mut out, start).unwrap();
         }
-        prop_assert_eq!(out, wire);
-    }
+        assert_eq!(out, wire);
+    });
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    #[test]
-    fn release_returns_the_buffer_only_when_nothing_is_buffered(
-        seed in any::<u64>(),
-        frames in 0usize..8,
-        sizes in proptest::collection::vec(1usize..20_000, 1..6),
-    ) {
+#[test]
+fn release_returns_the_buffer_only_when_nothing_is_buffered() {
+    sweep(32, |rng| {
+        let frames = rng.gen_range(0usize..8);
+        let sizes: Vec<usize> = (0..rng.gen_range(1usize..6))
+            .map(|_| rng.gen_range(1..20_000))
+            .collect();
         // A share-sized frame ahead of ordinary traffic, and a reader
         // whose owner calls `release` after every frame it consumes.
-        let (mut payloads, _) = random_stream(seed, frames);
+        let (mut payloads, _) = random_stream(rng, frames);
         payloads.insert(0, vec![0xEE; 100_000]);
         let mut wire = Vec::new();
         for p in &payloads {
@@ -464,7 +486,11 @@ proptest! {
         for sizes in [&sizes[..], &[1], &[usize::MAX]] {
             let mut reader = FrameReader::new(DEFAULT_MAX_FRAME);
             let initial = reader.capacity();
-            let mut src = Chunked { data: &wire, sizes, reads: 0 };
+            let mut src = Chunked {
+                data: &wire,
+                sizes,
+                reads: 0,
+            };
             let (mut got, mut consumed): (Vec<Vec<u8>>, usize) = (Vec::new(), 0);
             loop {
                 match reader.next_frame(&mut src) {
@@ -473,7 +499,7 @@ proptest! {
                         got.push(frame.to_vec());
                     }
                     Err(e) => {
-                        prop_assert_eq!(ending(&e), End::Closed);
+                        assert_eq!(ending(&e), End::Closed);
                         break;
                     }
                 }
@@ -483,14 +509,14 @@ proptest! {
                 let before = reader.capacity();
                 reader.release();
                 if buffered == 0 {
-                    prop_assert_eq!(reader.capacity(), initial);
+                    assert_eq!(reader.capacity(), initial);
                 } else {
-                    prop_assert_eq!(reader.capacity(), before);
+                    assert_eq!(reader.capacity(), before);
                 }
             }
-            prop_assert_eq!(&got, &payloads);
+            assert_eq!(&got, &payloads);
         }
-    }
+    });
 }
 
 /// The per-element codec, spelled out: what `encode_many` and
@@ -550,11 +576,10 @@ fn assert_bulk_codec_is_per_element<T>(
     lengths: &[usize],
     (below, rejects): (u64, bool),
     make: impl Fn(u64) -> T,
-    rng: &mut rand::rngs::StdRng,
+    rng: &mut StdRng,
 ) where
     T: WireEncode + WireDecode + PartialEq + std::fmt::Debug + Clone,
 {
-    use rand::Rng;
     let kept = [make(3), make(5)];
     for &n in lengths {
         let canonical: Vec<u64> = (0..n).map(|_| rng.gen_range(0..below)).collect();
@@ -588,7 +613,6 @@ fn assert_bulk_codec_is_per_element<T>(
 
 #[test]
 fn bulk_codec_is_the_per_element_codec() {
-    use rand::{rngs::StdRng, Rng, SeedableRng};
     let mut rng = StdRng::seed_from_u64(17);
     let mut lengths = vec![0usize, 1, 7, 8, 9];
     lengths.extend((0..6).map(|_| rng.gen_range(10usize..4_000)));

@@ -1,5 +1,5 @@
 //! Running the protocol on real threads: one actor per edge device,
-//! crossbeam channels for the wire, and straggler tolerance via redundant
+//! `std` channels for the wire, and straggler tolerance via redundant
 //! rows on standby devices (the paper's footnote 1 extension).
 //!
 //! ```text
