@@ -29,7 +29,8 @@
 //! builds in offline environments where no external crates beyond the
 //! seed set are available, so the band scheduler is hand-rolled on the
 //! standard library — same shape, zero dependencies.) Work smaller than
-//! [`PAR_THRESHOLD`] scalar multiply-adds always runs serially, and the
+//! two bands of [`PAR_THRESHOLD`] scalar multiply-adds always runs
+//! serially (spawning and joining costs tens of microseconds), and the
 //! band count is capped by `std::thread::available_parallelism`, so the
 //! kernels degrade gracefully to the serial path on a single core or with
 //! `--no-default-features`.
@@ -49,10 +50,72 @@ use crate::matrix::Matrix;
 use crate::scalar::Scalar;
 use crate::vector::Vector;
 
-/// Minimum number of scalar multiply-adds before a kernel considers
-/// splitting work across threads. Below this, thread spawn/join overhead
-/// dwarfs the arithmetic.
-pub const PAR_THRESHOLD: usize = 1 << 15;
+/// Minimum number of scalar multiply-adds per band: a kernel stays
+/// serial below it and splits once there are two bands' worth
+/// ([`threads_for`]). One `thread::scope` spawn + join of two bands costs
+/// 40–90 µs here, a million multiply-adds 200–350 µs.
+///
+/// Measured with `par_threshold_report` (`matrix.rs`; Sapphire Rapids,
+/// 2 vCPUs, unpinned, µs per call, serial → two bands, three runs).
+/// Mat-vec, `rows × 1024`:
+///
+/// ```text
+/// 2^15    6.7 →   86.0     7.7 →   97.5     8.6 →   74.1
+/// 2^17   30.5 →   85.5    34.3 →  118.5    35.9 →  129.6
+/// 2^19  162.9 →  161.7   188.9 →  235.2   202.5 →  240.4
+/// 2^20  332.3 →  261.4   365.9 →  320.5   362.4 →  338.7
+/// 2^21  691.5 →  486.7   691.8 →  447.5   806.0 →  560.5
+/// 2^23 2691.7 → 1952.6  2691.9 → 1885.3  3030.2 → 1825.7
+/// ```
+///
+/// Panel product, `rows × 1024 × 32`:
+///
+/// ```text
+/// 2^18   91.6 →  222.9    76.4 →  169.8    85.3 →  192.1
+/// 2^19  139.6 →  196.0   153.3 →  226.7   155.1 →  239.3
+/// 2^20  255.2 →  295.8   257.2 →  240.9   279.2 →  264.7
+/// 2^21  510.5 →  388.6   513.5 →  695.0   533.3 →  448.9
+/// 2^22 1089.4 →  687.8  1110.3 →  886.7  1060.6 → 1196.2
+/// ```
+///
+/// Banding loses at every size up to 2^19, is a wash at 2^20 and wins
+/// from 2^21, so a band is worth 2^20. (The previous 2^15 dated from a
+/// 2.7 ns multiply; at it a 128 × 1024 mat-vec took 82.7 µs unpinned
+/// against 44.8 pinned to one CPU.) A device's k = 32 panel product at
+/// l = 1024 (up to 128 rows, 2^22) still splits.
+///
+/// The constant also gates the two callers whose element costs more than
+/// a lazy multiply-add: one [`Matrix::eliminate_below`] step (a fully
+/// reduced `fused_submul`, 1.7 ns an element) and the encoder's
+/// per-device blinding (`scec-coding`'s `Encoder::blind`: an add into a
+/// fresh allocation, 1.0 ns; its loop replayed over eight devices).
+/// `rows × 1024` elements, same report, three runs. Elimination:
+///
+/// ```text
+/// 2^17  226.4 →  268.3   217.6 →  195.3   215.5 →  315.5
+/// 2^19  850.1 →  552.8   899.2 →  538.6   925.5 →  580.7
+/// 2^20 1730.8 →  999.0  2035.5 → 1689.7  1788.9 →  984.7
+/// 2^21 3421.5 → 1937.4  3456.3 → 1982.1  3529.7 → 1937.3
+/// 2^22 7078.4 → 3909.9  7226.9 → 4205.8  6843.5 → 4162.5
+/// ```
+///
+/// Blinding:
+///
+/// ```text
+/// 2^17  109.3 →  195.6   116.1 →  182.5   125.1 →  175.6
+/// 2^19  519.8 →  611.3   504.9 →  672.1   506.5 →  624.2
+/// 2^20 1069.5 →  652.1  1132.9 →  659.7  1006.5 →  639.6
+/// 2^21 2142.5 → 1284.3  2054.0 → 1280.9  1986.4 → 1197.7
+/// 2^22 4028.5 → 2273.8  4058.8 → 2972.5  4157.6 → 3208.7
+/// ```
+///
+/// Elimination would gain from two bands already at 2^19 elements and
+/// blinding at 2^20; under the one constant both stay serial up to 2^21.
+/// That is the price of one number in lazy-multiply-add units, paid only
+/// by an unpinned elimination of 512–2047 rows × 1024 or an encode of
+/// 1024–2047; the benchmark's largest system (m + r = 384 square,
+/// 2^17.2 elements) and largest encode (384 × 1024) sit under 2^19.
+pub const PAR_THRESHOLD: usize = 1 << 20;
 
 /// Upper bound on worker threads: `available_parallelism`, or 1 when the
 /// `parallel` feature is disabled.

@@ -32,7 +32,7 @@
 //! ```
 
 // `deny` rather than `forbid`: the `simd` module opts back in with a
-// scoped `#[allow(unsafe_code)]` for the AVX2/AVX-512F intrinsics (every
+// scoped `#[allow(unsafe_code)]` for the AVX2/AVX-512 intrinsics (every
 // unsafe block there is behind runtime CPU-feature detection);
 // everything else in the crate remains unsafe-free.
 #![deny(unsafe_code)]

@@ -6,7 +6,7 @@ use rand::Rng;
 
 use crate::error::{Axis, Error, Result};
 use crate::kernels;
-use crate::scalar::Scalar;
+use crate::scalar::{DrawScalars, Scalar};
 use crate::vector::Vector;
 
 /// A dense, row-major matrix over a field `F`.
@@ -106,7 +106,7 @@ impl<F: Scalar> Matrix<F> {
     /// This is how the cloud generates the random blinding rows
     /// `R_1, …, R_r`.
     pub fn random<R: Rng + ?Sized>(rows: usize, cols: usize, rng: &mut R) -> Self {
-        let data = (0..rows * cols).map(|_| F::sample(rng)).collect();
+        let data = rng.draw_scalars(rows * cols);
         Matrix { rows, cols, data }
     }
 
@@ -344,8 +344,10 @@ impl<F: Scalar> Matrix<F> {
         })
     }
 
-    /// Matrix–vector product `self · x`, one fused dot per row,
-    /// row-banded across threads when large.
+    /// Matrix–vector product `self · x`, one fused dot per row, four
+    /// rows per [`Scalar::dot_slices_x4`] call (the matmul driver's
+    /// register blocking with the roles swapped: `x` is loaded and split
+    /// once per four rows), row-banded across threads when large.
     ///
     /// # Errors
     ///
@@ -361,9 +363,33 @@ impl<F: Scalar> Matrix<F> {
         crate::ops::record_mults((self.rows * self.cols) as u64);
         crate::ops::record_adds((self.rows * self.cols.saturating_sub(1)) as u64);
         let threads = kernels::threads_for(self.rows * self.cols);
-        let xs = x.as_slice();
-        let out = kernels::par_map_collect(self.rows, threads, |i| F::dot_slices(self.row(i), xs));
+        let out = self.matvec_with_threads(x.as_slice(), threads);
         Ok(Vector::from_vec(out))
+    }
+
+    /// [`matvec`](Self::matvec) over `threads` row bands. The tail rows
+    /// of a band fall back to single dots; results are identical.
+    fn matvec_with_threads(&self, xs: &[F], threads: usize) -> Vec<F> {
+        let mut out = vec![F::zero(); self.rows];
+        kernels::for_row_bands(&mut out, 1, threads, |first_row, band| {
+            let mut quads = band.chunks_exact_mut(4);
+            let mut i = first_row;
+            for quad in &mut quads {
+                let rows = [
+                    self.row(i),
+                    self.row(i + 1),
+                    self.row(i + 2),
+                    self.row(i + 3),
+                ];
+                quad.copy_from_slice(&F::dot_slices_x4(xs, rows));
+                i += 4;
+            }
+            for o in quads.into_remainder() {
+                *o = F::dot_slices(self.row(i), xs);
+                i += 1;
+            }
+        });
+        out
     }
 
     /// Transposed matrix–vector product `selfᵀ · u` without materializing
@@ -938,15 +964,139 @@ mod tests {
     #[test]
     fn matmul_serial_and_parallel_agree() {
         let mut rng = StdRng::seed_from_u64(22);
-        // Big enough to clear PAR_THRESHOLD so matmul takes the banded path.
+        // Banded by hand: the shape is far below PAR_THRESHOLD.
         let a = Matrix::<Fp61>::random(40, 64, &mut rng);
         let b = Matrix::<Fp61>::random(64, 33, &mut rng);
-        assert_eq!(a.matmul(&b).unwrap(), a.matmul_serial(&b).unwrap());
+        let serial = a.matmul_serial(&b).unwrap();
+        assert_eq!(a.matmul_with_threads(&b, 3).unwrap(), serial);
+        assert_eq!(a.matmul(&b).unwrap(), serial);
 
         let af = Matrix::<f64>::random(40, 64, &mut rng);
         let bf = Matrix::<f64>::random(64, 33, &mut rng);
         // f64 must agree bitwise: per-row op order is identical.
-        assert_eq!(af.matmul(&bf).unwrap(), af.matmul_serial(&bf).unwrap());
+        let serial = af.matmul_serial(&bf).unwrap();
+        assert_eq!(af.matmul_with_threads(&bf, 3).unwrap(), serial);
+    }
+
+    #[test]
+    fn matvec_four_row_blocks_agree_banded_serial_and_naive() {
+        let mut rng = StdRng::seed_from_u64(25);
+        // Widths on both sides of the 4-column kernel's vector floor,
+        // row counts of every residue mod 4 and below one block; three
+        // bands over 13 rows leaves each band its own tail rows.
+        for cols in [16, 23, 24, 25, 96, 200] {
+            for rows in [1, 2, 3, 4, 5, 6, 7, 8, 13, 64] {
+                let a = Matrix::<Fp61>::random(rows, cols, &mut rng);
+                let x = Vector::<Fp61>::random(cols, &mut rng);
+                let want = kernels::matvec_naive(&a, &x).unwrap();
+                assert_eq!(a.matvec(&x).unwrap(), want, "{rows}x{cols}");
+                for threads in [1, 2, 3] {
+                    let got = a.matvec_with_threads(x.as_slice(), threads);
+                    assert_eq!(got, want.as_slice(), "{rows}x{cols}, {threads} bands");
+                }
+                // f64: four rows per call is four per-row folds, so each
+                // row stays bitwise the naive one.
+                let a = Matrix::<f64>::random(rows, cols, &mut rng);
+                let x = Vector::<f64>::random(cols, &mut rng);
+                let want = kernels::matvec_naive(&a, &x).unwrap();
+                assert_eq!(a.matvec(&x).unwrap(), want, "f64 {rows}x{cols}");
+                for threads in [1, 3] {
+                    let got = a.matvec_with_threads(x.as_slice(), threads);
+                    assert_eq!(got, want.as_slice(), "f64 {rows}x{cols}, {threads} bands");
+                }
+            }
+        }
+    }
+
+    /// Serial against banded, ignored by default: `cargo test --release
+    /// -p scec-linalg -- --ignored par_threshold --nocapture` on a host
+    /// with at least two CPUs prints µs per call either way for every
+    /// kind of work the threshold gates: mat-vec and panel shapes, one
+    /// elimination step, and the encoder's per-device blinding fan-out
+    /// (its loop, replayed here). The table is recorded in the
+    /// [`kernels::PAR_THRESHOLD`] doc comment.
+    #[test]
+    #[ignore]
+    fn par_threshold_report() {
+        let mut rng = StdRng::seed_from_u64(42);
+        let time = |f: &mut dyn FnMut()| {
+            let best = (0..15).map(|_| {
+                let start = std::time::Instant::now();
+                (0..20).for_each(|_| f());
+                start.elapsed().as_secs_f64() * 1e6 / 20.0
+            });
+            best.fold(f64::INFINITY, f64::min)
+        };
+        println!("cpus: {}", kernels::max_threads());
+        for (rows, inner, k) in [
+            (32, 1024, 1),
+            (128, 1024, 1),
+            (512, 1024, 1),
+            (1024, 1024, 1),
+            (2048, 1024, 1),
+            (8192, 1024, 1),
+            (8, 1024, 32),
+            (16, 1024, 32),
+            (32, 1024, 32),
+            (64, 1024, 32),
+            (128, 1024, 32),
+        ] {
+            let a = Matrix::<Fp61>::random(rows, inner, &mut rng);
+            let xs = Matrix::<Fp61>::random(inner, k, &mut rng);
+            let x = xs.col(0);
+            let run = |threads: usize| {
+                time(&mut || {
+                    if k == 1 {
+                        std::hint::black_box(a.matvec_with_threads(x.as_slice(), threads));
+                    } else {
+                        std::hint::black_box(a.matmul_with_threads(&xs, threads).unwrap());
+                    }
+                })
+            };
+            let (serial, banded) = (run(1), run(2));
+            println!(
+                "{rows:>5} x {inner} x {k:<2} = 2^{:<4.1} serial {serial:>8.1} us  2 bands {banded:>8.1} us",
+                ((rows * inner * k) as f64).log2()
+            );
+        }
+        // `eliminate_below`'s band body and `Encoder::blind`'s per-device
+        // closure (eight devices), over `rows × 1024` elements.
+        let cols = 1024;
+        for rows in [128, 512, 1024, 2048, 4096] {
+            let pivot = Matrix::<Fp61>::random(1, cols, &mut rng);
+            let factor = Fp61::new(0x0123_4567_89ab_cdef);
+            let mut below = Matrix::<Fp61>::random(rows, cols, &mut rng);
+            let mut eliminate = |threads: usize| {
+                time(&mut || {
+                    kernels::for_row_bands(below.flat_mut(), cols, threads, |_, band| {
+                        for row in band.chunks_mut(cols) {
+                            Fp61::fused_submul(row, factor, pivot.row(0));
+                        }
+                    });
+                })
+            };
+            let (serial, banded) = (eliminate(1), eliminate(2));
+            let a = Matrix::<Fp61>::random(rows, cols, &mut rng);
+            let noise = Matrix::<Fp61>::random(rows / 8, cols, &mut rng);
+            let blind = |threads: usize| {
+                time(&mut || {
+                    std::hint::black_box(kernels::par_map_collect(8, threads, |dev| {
+                        let mut flat = Vec::with_capacity(rows / 8 * cols);
+                        for p in dev * rows / 8..(dev + 1) * rows / 8 {
+                            let sum = a.row(p).iter().zip(noise.row(p % (rows / 8)));
+                            flat.extend(sum.map(|(&d, &n)| d.add(n)));
+                        }
+                        flat
+                    }));
+                })
+            };
+            println!(
+                "{rows:>5} x {cols} = 2^{:<4.1} eliminate {serial:>8.1} -> {banded:>8.1} us  blind {:>8.1} -> {:>8.1} us",
+                ((rows * cols) as f64).log2(),
+                blind(1),
+                blind(2)
+            );
+        }
     }
 
     #[test]

@@ -227,6 +227,34 @@ impl Scalar for f64 {
     }
 }
 
+/// `n` scalars drawn by [`Scalar::sample`]: what
+/// [`Matrix::random`](crate::Matrix::random) and
+/// [`Vector::random`](crate::Vector::random) fill themselves with.
+///
+/// A provided method on the generator, with an explicit loop, on
+/// purpose. rustc compiles a provided trait method in the codegen unit
+/// of its `Self` type, so this loop lands beside the generator's own
+/// `gen_range` and the two always inline. The offline `rand` stand-in
+/// marks none of its `gen_range` chain `#[inline]`; from a loop in any
+/// other unit (a `collect` puts it in `Vec::from_iter`'s) ThinLTO has to
+/// import the chain three calls deep, which succeeds or not with how the
+/// dependent crate happens to be partitioned, and when it does not each
+/// element pays two 64-bit divisions by the modulus (the repo
+/// benchmark's `setup_s` at m = 256, l = 1024: 0.9 or 1.4 ms). Crates-io
+/// `rand` inlines either way.
+pub(crate) trait DrawScalars: Rng {
+    /// Draws `n` scalars, in order.
+    fn draw_scalars<F: Scalar>(&mut self, n: usize) -> Vec<F> {
+        let mut out = Vec::with_capacity(n);
+        for _ in 0..n {
+            out.push(F::sample(self));
+        }
+        out
+    }
+}
+
+impl<R: Rng + ?Sized> DrawScalars for R {}
+
 #[cfg(test)]
 mod tests {
     use super::*;

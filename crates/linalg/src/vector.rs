@@ -6,7 +6,7 @@ use rand::Rng;
 
 use crate::error::{Axis, Error, Result};
 use crate::matrix::Matrix;
-use crate::scalar::Scalar;
+use crate::scalar::{DrawScalars, Scalar};
 
 /// A dense column vector over a field `F`.
 ///
@@ -45,7 +45,7 @@ impl<F: Scalar> Vector<F> {
     /// A vector of entries drawn by [`Scalar::sample`].
     pub fn random<R: Rng + ?Sized>(n: usize, rng: &mut R) -> Self {
         Vector {
-            data: (0..n).map(|_| F::sample(rng)).collect(),
+            data: rng.draw_scalars(n),
         }
     }
 

@@ -635,7 +635,7 @@ impl<F: Scalar, S: CodeScheme<F>> Cluster<F, S> {
     ///
     /// [`Error::ChannelClosed`] when a device thread died.
     pub fn begin_query(&self, x: &Vector<F>) -> Result<Ticket> {
-        let ticket = self.begin(x)?;
+        let ticket = self.begin(x.clone())?;
         self.transport.flush()?;
         Ok(ticket)
     }
@@ -723,16 +723,16 @@ impl<F: Scalar, S: CodeScheme<F>> Cluster<F, S> {
         self.mailbox.clear(ticket.request());
     }
 
-    /// Assigns a request id, opens its stash, and hands one
-    /// `Arc`-shared copy of `input` to the transport for every enrolled
-    /// device. The transport may keep the frames queued until the next
-    /// collect, abandon or shutdown.
-    fn begin<P: Payload<F>>(&self, input: &P) -> Result<Ticket> {
+    /// Assigns a request id, opens its stash, and hands `input`, moved
+    /// into one shared `Arc`, to the transport for every enrolled device.
+    /// The transport may keep the frames queued until the next collect,
+    /// abandon or shutdown.
+    fn begin<P: Payload<F>>(&self, input: P) -> Result<Ticket> {
         let request = self.next_request.fetch_add(1, Ordering::Relaxed);
         let ticket = Ticket::new(request, &self.clock);
         let trace = crate::telemetry::dispatch_trace(self.trace_tenant, request, 0);
         let ctx = trace.map(|(_, ctx)| ctx);
-        let shared = Arc::new(input.clone());
+        let shared = Arc::new(input);
         self.mailbox.open(request);
         (0..self.enrolled.len())
             .try_for_each(|idx| {
@@ -895,7 +895,7 @@ impl<F: Scalar, S: CodeScheme<F>> PipelinedQuery for Cluster<F, S> {
     type Ticket = Ticket;
 
     fn begin(&self, input: &Vector<F>) -> Result<Ticket> {
-        Cluster::begin(self, input)
+        Cluster::begin(self, input.clone())
     }
 
     fn finish(&self, ticket: Ticket) -> Result<S::Output> {
@@ -917,7 +917,12 @@ impl<F: Scalar, S: CodeScheme<F>> PanelQuery for Cluster<F, S> {
     type PanelTicket = PanelTicket;
 
     fn begin_panel(&self, xs: &Matrix<F>) -> Result<PanelTicket> {
-        Ok(PanelTicket::new(self.begin(xs)?, xs.ncols()))
+        self.begin_panel_owned(xs.clone())
+    }
+
+    fn begin_panel_owned(&self, xs: Matrix<F>) -> Result<PanelTicket> {
+        let width = xs.ncols();
+        Ok(PanelTicket::new(self.begin(xs)?, width))
     }
 
     fn finish_panel(&self, ticket: PanelTicket) -> Result<Matrix<F>> {

@@ -206,6 +206,20 @@ pub trait PanelQuery {
     /// Transport failures surfaced at send time.
     fn begin_panel(&self, xs: &Matrix<Self::Elem>) -> Result<Self::PanelTicket>;
 
+    /// [`begin_panel`](Self::begin_panel) for a caller that is done with
+    /// the panel — [`PanelPipeline`] builds one per broadcast. A cluster
+    /// that keeps the panel overrides this to take it without a copy; a
+    /// wrapper that implements only `begin_panel` (the repo benchmark's
+    /// `Timed`, which every traced run goes through) gets this default
+    /// and its inner cluster still clones the panel.
+    ///
+    /// # Errors
+    ///
+    /// As [`begin_panel`](Self::begin_panel).
+    fn begin_panel_owned(&self, xs: Matrix<Self::Elem>) -> Result<Self::PanelTicket> {
+        self.begin_panel(&xs)
+    }
+
     /// Blocks until the panel completes and decodes every column,
     /// returning the `m × k` result matrix.
     ///
@@ -233,6 +247,10 @@ impl<F: Scalar> PanelQuery for SupervisedCluster<F> {
 
     fn begin_panel(&self, xs: &Matrix<F>) -> Result<Matrix<F>> {
         Ok(xs.clone())
+    }
+
+    fn begin_panel_owned(&self, xs: Matrix<F>) -> Result<Matrix<F>> {
+        Ok(xs)
     }
 
     fn finish_panel(&self, ticket: Matrix<F>) -> Result<Matrix<F>> {
@@ -652,7 +670,7 @@ impl<'c, C: PanelQuery> PanelPipeline<'c, C> {
                 completed.push(col);
             }
         }
-        let ticket = self.cluster.begin_panel(&xs)?;
+        let ticket = self.cluster.begin_panel_owned(xs)?;
         self.pending.clear();
         self.in_flight.push_back(ticket);
         self.submitted.push_back(self.cluster.clock_now());

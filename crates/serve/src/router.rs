@@ -149,26 +149,38 @@ impl LoadConfig {
 /// queries, tracking its high-water mark.
 struct Admission {
     cap: usize,
-    state: Mutex<(usize, usize)>, // (current, peak)
+    state: Mutex<Admitted>,
     cv: Condvar,
+}
+
+#[derive(Default)]
+struct Admitted {
+    current: usize,
+    peak: usize,
+    /// Threads inside `acquire`'s wait. A release with none skips the
+    /// notify, which on Linux is a `futex_wake` syscall whether or not
+    /// anyone sleeps.
+    waiting: usize,
 }
 
 impl Admission {
     fn new(cap: usize) -> Self {
         Admission {
             cap,
-            state: Mutex::new((0, 0)),
+            state: Mutex::new(Admitted::default()),
             cv: Condvar::new(),
         }
     }
 
     fn acquire(&self, n: usize) {
         let mut s = self.state.lock().unwrap_or_else(|p| p.into_inner());
-        while s.0 + n > self.cap {
+        while s.current + n > self.cap {
+            s.waiting += 1;
             s = self.cv.wait(s).unwrap_or_else(|p| p.into_inner());
+            s.waiting -= 1;
         }
-        s.0 += n;
-        s.1 = s.1.max(s.0);
+        s.current += n;
+        s.peak = s.peak.max(s.current);
     }
 
     fn release(&self, n: usize) {
@@ -176,13 +188,18 @@ impl Admission {
             return;
         }
         let mut s = self.state.lock().unwrap_or_else(|p| p.into_inner());
-        s.0 = s.0.saturating_sub(n);
+        s.current = s.current.saturating_sub(n);
+        // Read under the lock a waiter registers under, so a waiter that
+        // has not been counted yet has not tested the condition yet.
+        let wake = s.waiting > 0;
         drop(s);
-        self.cv.notify_all();
+        if wake {
+            self.cv.notify_all();
+        }
     }
 
     fn peak(&self) -> usize {
-        self.state.lock().unwrap_or_else(|p| p.into_inner()).1
+        self.state.lock().unwrap_or_else(|p| p.into_inner()).peak
     }
 }
 
@@ -622,15 +639,19 @@ struct PumpState {
 }
 
 impl PumpState {
-    /// Books one completed query: returns its admission permit and
-    /// checks the result against the expected FIFO.
-    fn credit(&mut self, admission: &Admission, y: &Vector<Fp61>) {
-        admission.release(1);
-        self.in_flight -= 1;
-        self.queries += 1;
-        if self.expected.pop_front().as_ref() != Some(y) {
-            self.mismatches += 1;
+    /// Books the queries one pipeline call completed: checks each result
+    /// against the expected FIFO, then returns their admission permits
+    /// together — one lock and at most one wake-up per batch, where one
+    /// per result only spaced the same releases a few nanoseconds apart.
+    fn credit(&mut self, admission: &Admission, ys: &[Vector<Fp61>]) {
+        for y in ys {
+            if self.expected.pop_front().as_ref() != Some(y) {
+                self.mismatches += 1;
+            }
         }
+        self.queries += ys.len() as u64;
+        self.in_flight -= ys.len();
+        admission.release(ys.len());
     }
 }
 
@@ -648,16 +669,10 @@ fn pump_epoch(
         admission.acquire(1);
         st.in_flight += 1;
         st.expected.push_back(truth.clone());
-        for y in pipeline.submit(x)? {
-            st.credit(admission, &y);
-        }
+        st.credit(admission, &pipeline.submit(x)?);
     }
-    for y in pipeline.flush()? {
-        st.credit(admission, &y);
-    }
-    for y in pipeline.collect()? {
-        st.credit(admission, &y);
-    }
+    st.credit(admission, &pipeline.flush()?);
+    st.credit(admission, &pipeline.collect()?);
     Ok(())
 }
 
@@ -812,6 +827,24 @@ fn pipeline_p99(tel: &Telemetry) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn admission_wakes_a_counted_waiter_with_one_batched_release() {
+        let gate = Admission::new(4);
+        gate.acquire(4);
+        std::thread::scope(|s| {
+            let waiter = s.spawn(|| gate.acquire(2));
+            // Release only once the waiter is counted: from then on
+            // nothing but the notify can let it through.
+            while gate.state.lock().unwrap().waiting == 0 {
+                std::thread::yield_now();
+            }
+            gate.release(3);
+            waiter.join().unwrap();
+        });
+        let s = gate.state.lock().unwrap();
+        assert_eq!((s.current, s.peak, s.waiting), (3, 4, 0));
+    }
 
     #[test]
     fn checkpoint_triggers_only_past_the_dead_band() {
